@@ -1,19 +1,16 @@
-"""Record (or regression-check) the staged-runtime search-speed baseline.
+"""Record (or regression-check) the search-speed baseline.
 
-Runs one standard-budget search per corpus matrix in five configurations —
-serial/uncached (the pre-refactor behaviour), serial/cached with the
-batched group evaluator ablated, serial/cached, and cached with 2 and 4
-workers — asserts their search histories agree bit-for-bit, and writes
-best-of-N wall-clock numbers plus cache counters to
-``BENCH_search_speed.json`` at the repo root.  Not a pytest module: run
-it directly.
+Runs one standard-budget search per corpus matrix on one engine, best-of-N,
+asserts the repeats agree bit-for-bit, and writes the best wall clock plus
+design-memo counters to ``BENCH_search_speed.json`` at the repo root under
+the ``serial_cached`` configuration name.  Not a pytest module: run it
+directly.
 
     PYTHONPATH=src python benchmarks/bench_search_speed.py
 
-``--check`` mode (the CI perf gate) re-measures only the serial
-configurations, best-of-N, and fails — without touching the committed
-JSON — when serial search runs slower than ``--max-regression`` times the
-recorded baseline:
+``--check`` mode (the CI perf gate) re-measures best-of-N and fails —
+without touching the committed JSON — when search runs slower than
+``--max-regression`` times the recorded baseline:
 
     PYTHONPATH=src python benchmarks/bench_search_speed.py --check
 """
@@ -34,6 +31,9 @@ from repro.sparse import banded_matrix, lp_like_matrix, power_law_matrix
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_search_speed.json")
 
+#: the recorded configuration the gate compares against
+CONFIG = "serial_cached"
+
 MATRICES = [
     banded_matrix(768, bandwidth=4, seed=0, name="banded-768"),
     power_law_matrix(1024, avg_degree=10, seed=4, name="powerlaw-1024"),
@@ -41,17 +41,10 @@ MATRICES = [
 ]
 
 
-def _run(jobs: int, cache: bool, seed: int = 0, batch: bool = True):
-    engine = SearchEngine(
-        A100,
-        budget=SearchBudget(jobs=jobs),
-        seed=seed,
-        enable_design_cache=cache,
-        enable_batch_eval=batch,
-    )
+def _run(seed: int = 0):
+    engine = SearchEngine(A100, budget=SearchBudget(), seed=seed)
     t0 = time.perf_counter()
-    with engine:
-        results = engine.search_many(MATRICES)
+    results = engine.search_many(MATRICES)
     wall = time.perf_counter() - t0
     return wall, results
 
@@ -61,35 +54,23 @@ def _identities(results):
 
 
 def check(max_regression: float, repeats: int) -> int:
-    """CI perf gate: fail when serial search regresses vs the committed
-    baseline.  Best-of-``repeats`` damps scheduler noise; the factor
-    absorbs machine-to-machine variance (the gate catches algorithmic
+    """CI perf gate: fail when search regresses vs the committed baseline.
+    Best-of-``repeats`` damps scheduler noise; the factor absorbs
+    machine-to-machine variance (the gate catches algorithmic
     regressions, not hardware differences)."""
     try:
         with open(OUT_PATH) as fh:
-            recorded = json.load(fh)["wall_s"]
+            baseline = json.load(fh)["wall_s"][CONFIG]
     except (OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot load committed baseline {OUT_PATH}: {exc}")
+        print(f"cannot load committed {CONFIG!r} baseline {OUT_PATH}: {exc}")
         return 2
-    failures = []
-    for name, cfg in (
-        ("serial_cached", dict(jobs=1, cache=True)),
-        ("serial_uncached", dict(jobs=1, cache=False)),
-    ):
-        baseline = recorded.get(name)
-        if baseline is None:
-            print(f"baseline has no {name!r} entry; re-record it")
-            return 2
-        wall = min(_run(**cfg)[0] for _ in range(repeats))
-        ratio = wall / baseline
-        verdict = "ok" if ratio <= max_regression else "REGRESSION"
-        print(f"{name:>16}: {wall:6.3f}s vs recorded {baseline:6.3f}s "
-              f"({ratio:4.2f}x, limit {max_regression:.1f}x) {verdict}")
-        if ratio > max_regression:
-            failures.append(name)
-    if failures:
-        print(f"serial search regressed >{max_regression:.1f}x on: "
-              f"{', '.join(failures)}")
+    wall = min(_run()[0] for _ in range(repeats))
+    ratio = wall / baseline
+    verdict = "ok" if ratio <= max_regression else "REGRESSION"
+    print(f"{CONFIG:>16}: {wall:6.3f}s vs recorded {baseline:6.3f}s "
+          f"({ratio:4.2f}x, limit {max_regression:.1f}x) {verdict}")
+    if ratio > max_regression:
+        print(f"search regressed >{max_regression:.1f}x")
         return 1
     return 0
 
@@ -100,80 +81,40 @@ def main() -> int:
                         help="compare against the committed baseline "
                              "instead of re-recording it")
     parser.add_argument("--max-regression", type=float, default=2.0,
-                        help="fail --check when serial wall clock exceeds "
-                             "this multiple of the recorded number")
+                        help="fail --check when wall clock exceeds this "
+                             "multiple of the recorded number")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N runs per configuration in --check")
+                        help="best-of-N runs in --check")
     parser.add_argument("--record-repeats", type=int, default=5,
-                        help="best-of-N runs per configuration when "
-                             "recording the baseline")
+                        help="best-of-N runs when recording the baseline")
     args = parser.parse_args()
     if args.check:
         return check(args.max_regression, args.repeats)
-    configs = {
-        "serial_uncached": dict(jobs=1, cache=False),
-        "serial_nobatch": dict(jobs=1, cache=True, batch=False),
-        "serial_cached": dict(jobs=1, cache=True),
-        "jobs2_cached": dict(jobs=2, cache=True),
-        "jobs4_cached": dict(jobs=4, cache=True),
-    }
-    walls = {}
-    outcomes = {}
-    for name, cfg in configs.items():
-        wall = float("inf")
-        for _ in range(max(1, args.record_repeats)):
-            one_wall, results = _run(**cfg)
-            wall = min(wall, one_wall)
-        walls[name] = wall
-        outcomes[name] = results
-        print(f"{name:>16}: {wall:6.2f}s  "
-              f"designs={sum(r.designer_runs for r in results)}  "
-              f"evals={sum(r.total_evaluations for r in results)}")
 
-    # Bit-for-bit agreement: every configuration must reproduce the exact
-    # candidate-by-candidate search history of the uncached serial loop
-    # (batched vs per-candidate, cached vs not, any worker count).
-    reference = outcomes["serial_uncached"]
-    reference_ids = _identities(reference)
-    for name, results in outcomes.items():
-        assert _identities(results) == reference_ids, (
-            f"{name} search history diverged from serial_uncached"
+    wall, results = _run()
+    for _ in range(max(1, args.record_repeats) - 1):
+        again_wall, again = _run()
+        # Repeats must reproduce the exact candidate-by-candidate history.
+        assert _identities(again) == _identities(results), (
+            "search history diverged between repeats"
         )
-        for got, want in zip(results, reference):
-            assert got.best_gflops == want.best_gflops, (
-                f"{name} diverged on {want.matrix_name}"
-            )
+        wall = min(wall, again_wall)
+    print(f"{CONFIG:>16}: {wall:6.2f}s  "
+          f"designs={sum(r.designer_runs for r in results)}  "
+          f"evals={sum(r.total_evaluations for r in results)}")
 
-    cached = outcomes["serial_cached"]
     record = {
         "recorded_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
         "budget": "SearchBudget() defaults",
         "matrices": [m.name for m in MATRICES],
-        "wall_s": {k: round(v, 3) for k, v in walls.items()},
-        "speedup_vs_uncached": {
-            k: round(walls["serial_uncached"] / v, 2)
-            for k, v in walls.items()
-        },
-        "batch_eval_speedup": round(
-            walls["serial_nobatch"] / walls["serial_cached"], 2
-        ),
-        "searches_per_min": {
-            k: round(len(MATRICES) * 60.0 / v, 1) for k, v in walls.items()
-        },
-        "total_evaluations": sum(r.total_evaluations for r in cached),
-        "designer_runs": {
-            "uncached": sum(r.designer_runs for r in reference),
-            "cached": sum(r.designer_runs for r in cached),
-        },
-        "designer_run_reduction": round(
-            sum(r.designer_runs for r in reference)
-            / max(1, sum(r.designer_runs for r in cached)),
-            2,
-        ),
+        "wall_s": {CONFIG: round(wall, 3)},
+        "searches_per_min": {CONFIG: round(len(MATRICES) * 60.0 / wall, 1)},
+        "total_evaluations": sum(r.total_evaluations for r in results),
+        "designer_runs": sum(r.designer_runs for r in results),
         "design_cache": {
-            "hits": sum(r.design_cache_hits for r in cached),
-            "misses": sum(r.design_cache_misses for r in cached),
+            "hits": sum(r.design_cache_hits for r in results),
+            "misses": sum(r.design_cache_misses for r in results),
         },
     }
     with open(OUT_PATH, "w") as fh:

@@ -13,8 +13,7 @@ trends), and (c) times a representative kernel of the experiment through the
 
 Everything in this directory is marked ``slow`` at collection time; the
 default test run deselects it (see ``pytest.ini``), so figure reproduction
-is opt-in: ``pytest benchmarks -m slow``.  ``REPRO_BENCH_JOBS`` sets the
-evaluation worker count (results are identical for any value).
+is opt-in: ``pytest benchmarks -m slow``.
 """
 
 from __future__ import annotations
@@ -27,34 +26,20 @@ import numpy as np
 import pytest
 
 from repro.baselines import PerfectFormatSelector, PfsSelection
-from repro.search import (
-    AnnealingSchedule,
-    EvaluationRuntime,
-    SearchBudget,
-    SearchEngine,
-    SearchResult,
-)
+from repro.search import AnnealingSchedule, SearchBudget, SearchEngine, SearchResult
 from repro.sparse import corpus
 from repro.sparse.collection import CorpusEntry
 from repro.gpu import A100, RTX2080
 
 CORPUS_SIZE = int(os.environ.get("REPRO_BENCH_CORPUS", "12"))
 MAX_EVALS = int(os.environ.get("REPRO_BENCH_EVALS", "110"))
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 BENCH_BUDGET = SearchBudget(
     max_structures=14,
     coarse_evals_per_structure=8,
     max_total_evals=MAX_EVALS,
     ml_top_k=4,
-    jobs=BENCH_JOBS,
 )
-
-
-#: One worker pool for the whole benchmark session — every engine that
-#: ``bench_engine`` hands out shares it (closed by ``pytest_sessionfinish``),
-#: so per-test throwaway engines never leak executors.
-SHARED_RUNTIME = EvaluationRuntime(jobs=BENCH_JOBS)
 
 
 def pytest_collection_modifyitems(items):
@@ -63,10 +48,6 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if str(item.fspath).startswith(this_dir):
             item.add_marker(pytest.mark.slow)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    SHARED_RUNTIME.close()
 
 
 def bench_engine(gpu, seed: int = 11, enable_pruning: bool = True) -> SearchEngine:
@@ -78,7 +59,6 @@ def bench_engine(gpu, seed: int = 11, enable_pruning: bool = True) -> SearchEngi
         annealing=AnnealingSchedule(
             initial_temperature=0.25, cooling=0.82, patience=5
         ),
-        runtime=SHARED_RUNTIME,
     )
 
 

@@ -59,7 +59,6 @@ def test_corpus_pipeline_throughput(bench_corpus, tmp_path):
         "gpu": "A100",
         "matrices": len(entries),
         "budget_evals_per_matrix": BENCH_BUDGET.max_total_evals,
-        "jobs": BENCH_BUDGET.jobs,
         "cold_wall_s": round(cold_wall, 3),
         "resume_wall_s": round(warm_wall, 3),
         "matrices_per_minute": round(60.0 * len(entries) / cold_wall, 2),

@@ -58,8 +58,8 @@ def render_search_summary(results: Sequence[object], title: str = "") -> str:
     """Table over :class:`~repro.search.engine.SearchResult` objects.
 
     Duck-typed (no import of the search layer): anything exposing the
-    result fields renders.  Shows the staged-runtime accounting — Designer
-    executions and design-cache hit rate — next to the search outcome, the
+    result fields renders.  Shows the design-reuse accounting — Designer
+    executions and design-memo hit rate — next to the search outcome, the
     collection-level view the CLI's multi-matrix mode prints.
     """
     rows = []
@@ -74,7 +74,7 @@ def render_search_summary(results: Sequence[object], title: str = "") -> str:
             res.wall_time_s,
         ])
     return render_table(
-        title or "Search summary (shared engine, design cache and pool)",
+        title or "Search summary (shared engine)",
         ["matrix", "GFLOPS", "evals", "structs", "designs", "cache hit", "wall s"],
         rows,
     )

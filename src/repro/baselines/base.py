@@ -208,19 +208,15 @@ def measure_baselines(
     names: List[str],
     x: Optional[np.ndarray] = None,
     reference: Optional[np.ndarray] = None,
-    runtime=None,
     workload: Optional[Workload] = None,
 ) -> Dict[str, BaselineMeasurement]:
     """Measure several baselines on one matrix, sharing one reference.
 
     The batched entry point for corpus-scale evaluation: ``x`` and the
     reference result are computed once per workload and reused by every
-    baseline (the per-matrix caches the corpus runner relies on), and
-    ``runtime`` — a :class:`~repro.search.evaluation.EvaluationRuntime` or
-    anything with its ``map(fn, items)`` shape — optionally spreads the
-    independent measurements over a worker pool.  Results come back keyed
-    by baseline name, in ``names`` order (Python dicts preserve insertion
-    order), for any worker count.
+    baseline (the per-matrix caches the corpus runner relies on).  Results
+    come back keyed by baseline name, in ``names`` order (Python dicts
+    preserve insertion order).
     """
     workload = workload or DEFAULT_WORKLOAD
     if x is None:
@@ -228,13 +224,10 @@ def measure_baselines(
     if reference is None:
         reference = workload.reference(matrix, x)
 
-    def run(name: str) -> BaselineMeasurement:
-        return get_baseline(name).measure(
+    measurements = [
+        get_baseline(name).measure(
             matrix, gpu, x, reference=reference, workload=workload
         )
-
-    if runtime is None:
-        measurements = [run(name) for name in names]
-    else:
-        measurements = runtime.map(run, list(names))
+        for name in names
+    ]
     return {m.baseline: m for m in measurements}

@@ -11,16 +11,14 @@ runtime) into a corpus pipeline:
 
 :class:`~repro.bench.runner.CorpusRunner`
     Drives baselines + design search per matrix over one shared
-    :class:`~repro.search.engine.SearchEngine` (one design cache, one
-    worker pool), caching each matrix's reference SpMV so it is computed
-    once, not once per baseline.
+    :class:`~repro.search.engine.SearchEngine`, caching each matrix's
+    reference SpMV so it is computed once, not once per baseline.
 
 :mod:`~repro.bench.aggregate`
     Renders the paper's corpus tables from a store: per-baseline geomean
     speedups, the Fig 10 histogram, §VII-G creativity-class counts.
 
-CLI entry point: ``python -m repro bench <matrices...> [--jobs N]
-[--resume PATH]``.
+CLI entry point: ``python -m repro bench <matrices...> [--resume PATH]``.
 """
 
 from repro.bench.store import (

@@ -1,13 +1,12 @@
 """Corpus runner: baselines + design search for every matrix of a collection.
 
 One :class:`CorpusRunner` drives the whole paper-§VII pipeline over a
-matrix collection with the staged evaluation runtime underneath:
+matrix collection:
 
-* one shared :class:`~repro.search.engine.SearchEngine` — every search
-  reuses the same design cache and worker pool, exactly like
-  ``SearchEngine.search_many``;
-* the independent baseline measurements of each matrix are sharded over
-  that same :class:`~repro.search.evaluation.EvaluationRuntime` pool;
+* one shared :class:`~repro.search.engine.SearchEngine` runs every
+  search, exactly like ``SearchEngine.search_many`` (each search's memos
+  are dropped when it returns, so a long corpus holds no earlier
+  matrix's arrays);
 * each matrix's dense input vector and reference SpMV are computed once
   and shared by all of its baselines (and the PFS oracle is derived from
   the same measurements instead of re-running the member kernels);
@@ -68,9 +67,8 @@ class CorpusRunResult:
 class CorpusRunner:
     """Run the full per-matrix evaluation over a collection, resumably.
 
-    ``engine`` may be injected to share a cache/pool beyond one runner
-    (mirroring ``SearchEngine``'s injectable runtime); an injected engine
-    is the caller's to close.
+    ``engine`` may be injected to share one engine beyond one runner; an
+    injected engine is the caller's to close.
 
     ``design_store`` additionally persists every search to a
     :class:`~repro.store.design.DesignStore`: designs are written through
@@ -134,7 +132,6 @@ class CorpusRunner:
         """The comparability contract a result store pins.
 
         Every result-affecting knob is included: the full search budget
-        (minus ``jobs`` — worker count changes wall clock, never results)
         and the engine's search-space switches.  Two runs with equal
         configs produce identical records for the same matrix.
         """
@@ -253,7 +250,6 @@ class CorpusRunner:
             self.baselines,
             x=x,
             reference=reference,
-            runtime=self.engine.runtime,
             workload=self.workload,
         )
 

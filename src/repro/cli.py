@@ -7,20 +7,20 @@ implementation" (§III).
 Commands::
 
     python -m repro search <matrix.mtx | @named> [more matrices ...]
-                           [--gpu A100] [--evals N] [--jobs N] [--profile]
+                           [--gpu A100] [--evals N] [--profile]
                            [--workload spmv|spmm4|spmm16|spmvt]
                            [--out DIR] [--store DIR] [--warm-start]
                            [--no-pruning] [--extensions] [--seed S]
     python -m repro baselines <matrix.mtx | @named> [--gpu A100]
                               [--workload NAME]
     python -m repro bench <matrix.mtx | @named | @corpus:N> [more ...]
-                          [--gpu A100] [--evals N] [--jobs N] [--seed S]
+                          [--gpu A100] [--evals N] [--seed S]
                           [--workload NAME] [--resume PATH] [--store DIR]
                           [--warm-start]
     python -m repro serve <matrix.mtx | @named> [more ...] --store DIR
-                          [--gpu A100] [--evals N] [--jobs N]
-                          [--workers N] [--backend auto|dir|journal]
-                          [--deadline S] [--workload NAME] [--out DIR]
+                          [--gpu A100] [--evals N] [--workers N]
+                          [--backend auto|dir|journal] [--deadline S]
+                          [--workload NAME] [--out DIR]
     python -m repro store {ls | gc | verify | compact} DIR [--repair]
     python -m repro check [--store DIR] [--matrix SPEC] [--workload NAME]
                           [--samples N] [--seed S]
@@ -29,8 +29,8 @@ Commands::
     python -m repro matrices
 
 ``@name`` selects one of the built-in named matrices (e.g. ``@scfxm1-2r``).
-``search`` accepts several matrices; they share one engine, one design
-cache and one worker pool (``--jobs``) and print a collection summary.
+``search`` accepts several matrices; they share one engine and print a
+collection summary.
 ``bench`` runs the corpus pipeline — every baseline *and* the design
 search per matrix — and prints the paper's corpus tables; ``--resume
 PATH`` persists per-matrix results incrementally so an interrupted run
@@ -107,22 +107,6 @@ def _workload_arg(value: str) -> Workload:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _jobs_arg(value: str) -> int:
-    """argparse type for ``--jobs``: rejects non-integers and values < 1
-    with a clean usage error instead of a runtime traceback."""
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer worker count, got {value!r}"
-        ) from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"worker count must be >= 1, got {jobs}"
-        )
-    return jobs
-
-
 def _sampler_arg(value: str):
     """argparse type for ``--sampler``: a bad name errors with the list of
     registered samplers instead of surfacing a KeyError traceback."""
@@ -136,7 +120,7 @@ def _sampler_arg(value: str):
 
 def _sampler_seed_arg(value: str) -> int:
     """argparse type for ``--sampler-seed``: rejects non-integers with a
-    clean usage error (mirrors ``--jobs``)."""
+    clean usage error instead of a runtime traceback."""
     try:
         return int(value)
     except ValueError:
@@ -154,7 +138,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise SystemExit("--warm-start requires --store DIR")
     engine = SearchEngine(
         gpu,
-        budget=SearchBudget(max_total_evals=args.evals, jobs=args.jobs),
+        budget=SearchBudget(max_total_evals=args.evals),
         seed=args.seed,
         enable_pruning=not args.no_pruning,
         enable_extensions=args.extensions,
@@ -235,20 +219,12 @@ def _search_single(engine, matrix, spec, gpu, args) -> int:
 
 def _render_profile(result) -> str:
     """Stage-timing breakdown of one search (``--profile``)."""
-    stages = ["design", "assembly", "project", "analysis",
-              "batch_assembly", "batch_cost", "verify", "ml"]
+    stages = ["design", "batch_assembly", "batch_cost", "verify", "ml"]
     times = dict(result.stage_times)
     accounted = sum(times.get(s, 0.0) for s in stages)
     rows = [[s, f"{times.get(s, 0.0) * 1e3:.1f}"] for s in stages]
-    note = ""
-    if result.jobs > 1:
-        # Pooled stage times accumulate across workers like CPU time, so
-        # they don't reconcile against wall clock — skip the residual row.
-        note = (f"\nstage times are CPU-style sums over {result.jobs} "
-                "workers and may exceed wall clock")
-    else:
-        rows.append(["other (search overhead)",
-                     f"{max(0.0, result.wall_time_s - accounted) * 1e3:.1f}"])
+    rows.append(["other (search overhead)",
+                 f"{max(0.0, result.wall_time_s - accounted) * 1e3:.1f}"])
     rows.append(["total wall", f"{result.wall_time_s * 1e3:.1f}"])
     table = render_table(
         f"Stage timing for {result.matrix_name} (ms)",
@@ -257,19 +233,16 @@ def _render_profile(result) -> str:
     )
     return (
         table
-        + note
         + f"\nleaf-analysis cache: {result.analysis_cache_hits} hits / "
           f"{result.analysis_cache_misses} misses (design-level lookups)"
     )
 
 
 def _search_collection(engine, matrices, specs, gpu, args) -> int:
-    """Multi-matrix mode: one engine, one cache, one pool, one summary."""
+    """Multi-matrix mode: one engine, one summary."""
     results = engine.search_many(matrices)
     print(render_search_summary(
-        results,
-        title=f"Search summary on {gpu.name} model "
-              f"(jobs={engine.runtime.jobs}, shared design cache)",
+        results, title=f"Search summary on {gpu.name} model (shared engine)"
     ))
     if args.profile:
         for result in results:
@@ -334,7 +307,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise SystemExit("--warm-start requires --store DIR")
     runner = CorpusRunner(
         gpu,
-        budget=SearchBudget(max_total_evals=args.evals, jobs=args.jobs),
+        budget=SearchBudget(max_total_evals=args.evals),
         seed=args.seed,
         store=store,
         progress=print,
@@ -377,7 +350,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     matrices = [_load_matrix(spec) for spec in args.matrix]
     gpu = gpu_by_name(args.gpu)
     budget = dataclasses.replace(
-        default_serve_budget(jobs=args.jobs), max_total_evals=args.evals
+        default_serve_budget(), max_total_evals=args.evals
     )
     summary = ""
     if args.workers > 0:
@@ -394,7 +367,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         store = open_store(args.store, backend=args.backend)
         with Frontend(gpu, store, budget=budget, seed=args.seed,
-                      jobs=args.jobs, workload=args.workload) as frontend:
+                      workload=args.workload) as frontend:
             responses = frontend.resolve_batch(matrices)
             stats = frontend.stats()
         summary = (f"frontend: {stats.exact_hits} exact / "
@@ -736,14 +709,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search a machine-designed format+kernel")
     p.add_argument("matrix", nargs="+",
                    help="Matrix Market path(s) or @named-matrix(es); several "
-                        "matrices share one engine, cache and worker pool")
+                        "matrices share one engine")
     p.add_argument("--gpu", default="A100")
     p.add_argument("--evals", type=int, default=200,
                    help="max program evaluations")
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
-                   help="evaluation workers (1 = serial loop; N > 1 gives "
-                        "identical results for eval-count budgets like "
-                        "--evals, less wall clock)")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
                    help="operation to tune for: "
@@ -777,11 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the Perfect Format Selector")
     p.add_argument("--profile", action="store_true",
                    help="print the per-stage timing breakdown (design / "
-                        "assembly / analysis / verify / ml, plus "
-                        "batch_assembly / batch_cost for the vectorized "
-                        "group evaluator; 'analysis' = plan analysis + "
-                        "cost projection + functional execution) and "
-                        "leaf-analysis cache counters")
+                        "batch_assembly / batch_cost / verify / ml, plus "
+                        "search overhead) and leaf-analysis cache counters")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser(
@@ -795,9 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpu", default="A100")
     p.add_argument("--evals", type=int, default=160,
                    help="max search evaluations per matrix")
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
-                   help="evaluation workers shared by baseline measurement "
-                        "and the search (identical results for any value)")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
                    help="operation every baseline and search measures: "
@@ -830,9 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpu", default="A100")
     p.add_argument("--evals", type=int, default=96,
                    help="evaluation budget of the bounded fallback search")
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
-                   help="worker pool shared by batched request resolution "
-                        "and fallback searches")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
                    help="operation requests are resolved for (store keys "

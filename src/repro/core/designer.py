@@ -64,8 +64,8 @@ class Designer:
     """Runs Operator Graphs; safe to share across threads.
 
     The only mutable state is :attr:`executions`, a monotonic counter of
-    :meth:`design` calls used by the staged evaluation runtime to verify
-    design-cache effectiveness; it is updated under a lock.
+    :meth:`design` calls used by the search to report how often its design
+    memo saved a Designer run; it is updated under a lock.
 
     ``check_invariants=None`` (the default) resolves via
     :func:`default_invariant_checks`: enabled under pytest or when forced

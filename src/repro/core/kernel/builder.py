@@ -270,7 +270,7 @@ class KernelBuilder:
 
         ``runtime_deps`` names the runtime scalars the chosen distribution
         path actually read (``"tpb"`` / ``"grid"``, in that order) — the
-        analysis cache keys distributions by exactly those values, so
+        leaf analysis keys distributions by exactly those values, so
         structurally-determined distributions are computed once per leaf
         instead of once per runtime assignment.
         """
@@ -461,7 +461,7 @@ class KernelBuilder:
         mutated: runtime scalars are re-applied on a shallow store copy.
 
         ``analysis`` (one :class:`~repro.gpu.analysis.DesignAnalysis` per
-        design-cache key) memoises assembled kernel units per
+        design signature) memoises assembled kernel units per
         runtime-parameter assignment and the cross-kernel write check per
         design, and is carried on the returned program for verdict reuse.
         """

@@ -20,12 +20,7 @@ Public entry points:
   predicted time/GFLOPS breakdown.
 """
 
-from repro.gpu.analysis import (
-    AnalysisStats,
-    DesignAnalysis,
-    LeafAnalysis,
-    LeafAnalysisCache,
-)
+from repro.gpu.analysis import DesignAnalysis, LeafAnalysis
 from repro.gpu.arch import GPUSpec, A100, RTX2080, gpu_by_name
 from repro.gpu.cost import CostBreakdown, CostModel, KernelCostInputs
 from repro.gpu.executor import (
@@ -42,10 +37,8 @@ from repro.gpu.memory import (
 )
 
 __all__ = [
-    "AnalysisStats",
     "DesignAnalysis",
     "LeafAnalysis",
-    "LeafAnalysisCache",
     "GPUSpec",
     "A100",
     "RTX2080",

@@ -23,38 +23,32 @@ incremental across a leaf's runtime grid:
     :class:`~repro.gpu.cost.CostBreakdown`).
 
 :class:`DesignAnalysis`
-    One analysis per design-cache key: a :class:`LeafAnalysis` per kernel
-    of the (possibly branching) design, the cached cross-kernel write
-    check, and the cached ``spmv_allclose`` verdict — numeric verification
-    runs once per design instead of once per candidate.
-
-:class:`LeafAnalysisCache`
-    Thread-safe LRU of :class:`DesignAnalysis` keyed exactly like the
-    design cache (``(matrix token, design signature)``), with hit/miss
-    counters surfaced in :class:`~repro.search.engine.SearchResult`.
+    One analysis per design: a :class:`LeafAnalysis` per kernel of the
+    (possibly branching) design, the cached cross-kernel write check, and
+    the cached ``spmv_allclose`` verdict — numeric verification runs once
+    per design instead of once per candidate.  The search keeps one per
+    design signature in its per-search state, so every analysis is dropped
+    with its search (except the winner's, which its program holds).
 
 Everything cached is the output of a deterministic function of the leaf
-plus explicit key scalars, so search histories are byte-identical whether
-the analysis cache is on or off, serial or pooled.  Cached arrays are
-handed out read-only; treat every returned object as immutable.
+plus explicit key scalars, so search histories do not depend on what is
+cached.  Cached arrays are handed out read-only; treat every returned
+object as immutable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "AnalysisStats",
     "DesignAnalysis",
     "DistResult",
     "LeafAnalysis",
-    "LeafAnalysisCache",
     "content_digest",
 ]
 
@@ -62,11 +56,11 @@ __all__ = [
 def content_digest(*parts: object) -> str:
     """blake2b-128 content address of arrays / bytes / strings.
 
-    Shared by the analysis caches, the engine's verify keys, the matrix
+    Shared by the leaf analyses, the engine's verify keys, the matrix
     token and the persistent design store's key scheme — one digest
     function everywhere means a design hydrated from the store lands on
-    exactly the cache keys an in-process design would have, so the
-    leaf-analysis cache fills identically either way.
+    exactly the keys an in-process design would have, so its leaf
+    analysis fills identically either way.
     """
     h = hashlib.blake2b(digest_size=16)
     for part in parts:
@@ -103,38 +97,13 @@ class DistResult:
     key: Tuple
 
 
-@dataclass(frozen=True)
-class AnalysisStats:
-    """Design-level counters of one :class:`LeafAnalysisCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def since(self, other: "AnalysisStats") -> "AnalysisStats":
-        return AnalysisStats(
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            evictions=self.evictions - other.evictions,
-        )
-
-
 class LeafAnalysis:
     """Lazy per-leaf cache of deterministic computations.
 
     All methods take a ``compute`` closure so this class stays free of
     builder/executor imports (those modules import *us*).  The lock only
-    guards dict lookups/inserts — closures run outside it, so candidates
-    of one leaf keep evaluating in parallel under a worker pool.  Two
-    workers racing on a cold key may both compute; every closure is a
+    guards dict lookups/inserts — closures run outside it.  Two threads
+    racing on a cold key may both compute; every closure is a
     deterministic function of the key, so ``setdefault`` keeps the first
     result and the duplicate is discarded unseen.
     """
@@ -358,50 +327,3 @@ class DesignAnalysis:
         value = bool(compute())
         with self.lock:
             return self._verdicts.setdefault(key, value)
-
-
-class LeafAnalysisCache:
-    """Thread-safe LRU of :class:`DesignAnalysis`, keyed like the design
-    cache: ``(matrix token, design signature)``."""
-
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, DesignAnalysis]" = OrderedDict()
-        self._stats = AnalysisStats()
-
-    def stats(self) -> AnalysisStats:
-        with self._lock:
-            return replace(self._stats)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def for_design(self, key: Tuple) -> DesignAnalysis:
-        """The design's analysis, created on first request (one miss per
-        design — deterministic under any worker count)."""
-        with self._lock:
-            analysis = self._entries.get(key)
-            if analysis is None:
-                analysis = DesignAnalysis()
-                self._entries[key] = analysis
-                self._stats = replace(self._stats, misses=self._stats.misses + 1)
-                evicted = 0
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    evicted += 1
-                if evicted:
-                    self._stats = replace(
-                        self._stats, evictions=self._stats.evictions + evicted
-                    )
-            else:
-                self._entries.move_to_end(key)
-                self._stats = replace(self._stats, hits=self._stats.hits + 1)
-            return analysis

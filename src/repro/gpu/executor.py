@@ -150,8 +150,8 @@ class ExecutionPlan:
     #: bytes per matrix/x/y value (4 = fp32, 8 = fp64)
     value_bytes: int = 4
     label: str = ""
-    #: per-leaf analysis cache (:class:`repro.gpu.analysis.LeafAnalysis`)
-    #: attached by the staged evaluator; None = standalone plan.
+    #: per-leaf analysis (:class:`repro.gpu.analysis.LeafAnalysis`)
+    #: attached by the staged builds; None = standalone plan.
     analysis: Optional[object] = field(default=None, repr=False, compare=False)
     #: content key of the thread distribution (``(digest, n_threads, tpb)``)
     #: used to share cost projections across runtime assignments.
@@ -311,7 +311,7 @@ def _flow_partials(
     The walk state is the sorted distinct ``(group, row)`` key set plus
     the current multiset size (pre-merge partial count).  ``start_pairs``
     optionally supplies the initial sorted machinery — the one O(n log n)
-    step — precomputed per design leaf by the analysis cache.
+    step — precomputed per design leaf by its leaf analysis.
 
     ``scatter``/``n_out`` override the output-index array and output size
     (transpose workloads scatter into columns: the same walk then

@@ -16,13 +16,7 @@ pruning (:class:`SuccessiveHalvingPruner`).
 """
 
 from repro.search.engine import SearchBudget, SearchEngine, SearchResult, EvalRecord
-from repro.search.evaluation import (
-    CacheStats,
-    DesignCache,
-    EvaluationRuntime,
-    StagedEvaluator,
-    StageTimings,
-)
+from repro.search.evaluation import StagedEvaluator
 from repro.search.mlmodel import GradientBoostedTrees, RegressionTree
 from repro.search.annealing import AnnealerSampler, AnnealingSchedule
 from repro.search.pruning import (
@@ -49,11 +43,7 @@ __all__ = [
     "SearchEngine",
     "SearchResult",
     "EvalRecord",
-    "CacheStats",
-    "DesignCache",
-    "EvaluationRuntime",
     "StagedEvaluator",
-    "StageTimings",
     "GradientBoostedTrees",
     "RegressionTree",
     "AnnealingSchedule",

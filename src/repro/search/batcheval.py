@@ -1,36 +1,34 @@
-"""Vectorized batch evaluation: candidates sharing a design as one pass.
+"""Batched evaluation: candidates sharing a design as one pass.
 
-The hot loop of the three-level search measures a structure's parameter
-assignments one candidate at a time: every candidate re-applies its graph
-parameters, re-walks the design cache, re-assembles a plan and replays the
-executor — even though most candidates of a batch differ only in runtime
-scalars and share every cached quantity.  This module converts that
-per-candidate interpreter loop into array-at-a-time execution:
+The search measures a structure's parameter assignments in batches, and
+most candidates of a batch differ only in runtime scalars while sharing
+every memoized quantity.  This module evaluates them array-at-a-time:
 
 :func:`group_candidates`
     Splits one ask batch into *design groups* — candidates whose merged
     (lock-overlaid) parameters agree on every non-runtime key, i.e. exactly
     the candidates :func:`~repro.core.kernel.builder.design_signature`
-    would collapse onto one design-cache entry — without building a single
-    graph copy.  Groups remember each member's position in the submission
-    batch, so results scatter back into submission order and histories stay
-    byte-identical.
+    would collapse onto one design — without building a single graph copy.
+    Groups remember each member's position in the submission batch, so
+    results scatter back into submission order.
 
 :class:`BatchEvaluator`
-    Evaluates one group as a single pass: the design phase, the
-    leaf-analysis lookup and the representative graph are produced once per
-    group; per-candidate runtime assignments are grafted onto the
-    representative graph's runtime nodes (no graph copies); kernel units
-    and cost projections for the whole runtime grid are fetched through the
-    batched :class:`~repro.gpu.analysis.LeafAnalysis` entry points (one
-    lock trip per group instead of one per candidate); the functional
+    Evaluates one group in two steps.  :meth:`~BatchEvaluator.assemble`
+    runs the design phase once per group through the search's design memo,
+    takes the design's :class:`~repro.gpu.analysis.DesignAnalysis` from the
+    search's analysis memo, grafts each candidate's runtime assignment onto
+    the representative graph's runtime nodes (no graph copies), and fetches
+    kernel units and cost projections for the whole runtime grid through
+    the batched :class:`~repro.gpu.analysis.LeafAnalysis` entry points.
+    The resulting :class:`AssembledGroup` projects every candidate's GFLOPS
+    from the cost model alone — the successive-halving cheap rung — and
+    :meth:`~BatchEvaluator.finish` completes candidates: the functional
     result is read once per leaf and numeric verification runs once per
-    design, as before.  Scoring replicates
+    design.  Scoring replicates
     :meth:`~repro.core.kernel.program.GeneratedProgram.run` float-for-float
-    (same accumulation order, same error strings), so the batched and
-    per-candidate paths produce byte-identical search histories — the
-    engine's ``enable_batch_eval`` ablation and the golden-digest tests
-    pin that equivalence.
+    (same accumulation order, same error strings), so every candidate
+    scores exactly what the plain ``KernelBuilder.build`` →
+    ``GeneratedProgram.run`` reference path scores.
 
 Stage accounting: group assembly lands in ``batch_assembly``, cost +
 scoring in ``batch_cost``, and numeric verification stays under ``verify``
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +53,7 @@ from repro.core.kernel.builder import (
     runtime_nodes_for_leaf,
 )
 from repro.core.kernel.program import GeneratedProgram, KernelUnit
+from repro.gpu.analysis import DesignAnalysis
 from repro.gpu.arch import GPUSpec
 from repro.gpu.executor import (
     PlanValidationError,
@@ -66,15 +65,19 @@ from repro.search.space import SampledStructure, graph_with_params
 from repro.sparse.matrix import SparseMatrix
 from repro.workloads import Workload
 
+if TYPE_CHECKING:
+    from repro.search.engine import _SearchState
+
 __all__ = [
+    "AssembledGroup",
     "CandidateGroup",
     "BatchEvaluator",
     "design_group_key",
     "group_candidates",
 ]
 
-#: the exceptions one candidate's failure is allowed to surface as (the
-#: same set the per-candidate evaluator folds into a zero-score record).
+#: the exceptions one candidate's failure is allowed to surface as (each
+#: folds into a zero-score record carrying its class and message).
 EVAL_ERRORS = (DesignError, BuildError, PlanValidationError, GraphValidationError)
 
 
@@ -145,15 +148,48 @@ def _sum_y(ys: Sequence[np.ndarray], shape) -> np.ndarray:
     return y
 
 
-class BatchEvaluator:
-    """Evaluates one design group of candidates as a single pass.
+@dataclass
+class AssembledGroup:
+    """One design group after assembly and costing, before any candidate
+    has run.  Candidates are indexed by their position in the group."""
 
-    Built by the engine from its staged evaluator; requires the design and
-    leaf-analysis caches (the engine falls back to the per-candidate path
-    when either is ablated).  One ``evaluate_group`` call is one work unit
-    of the evaluation runtime, so ``--jobs`` shards groups, not candidates;
-    the group's representative graph is private to the call, keeping
-    pooled execution race-free.
+    matrix: SparseMatrix
+    #: flops of one run under the search's workload
+    wl_flops: float
+    #: per candidate: the failure message, or None once assembled
+    errors: List[Optional[str]]
+    #: the design's analysis (None when the design phase failed)
+    design: Optional[DesignAnalysis] = None
+    #: per candidate: its kernel units (None on failure)
+    kernels: List[Optional[List[KernelUnit]]] = field(default_factory=list)
+    #: per candidate: one cost entry per kernel, ``("ok", inputs, cost)``
+    #: or ``("error", message, code)`` (None on failure)
+    costs: List[Optional[List[Tuple]]] = field(default_factory=list)
+    #: per leaf: its functional-result entry, read on first use
+    ys: List[Optional[Tuple]] = field(default_factory=list)
+
+    def rung_score(self, c: int) -> float:
+        """Candidate ``c``'s projected GFLOPS — the cheap rung: the cost
+        model alone, no functional execution and no verification.  The
+        formula is the measured score's, so a valid candidate projects
+        exactly what it measures; a candidate that fails assembly or
+        costing projects 0.0, as it would measure."""
+        if self.errors[c] is not None:
+            return 0.0
+        total = 0.0
+        for entry in self.costs[c]:
+            if entry[0] == "error":
+                return 0.0
+            total += entry[2].total_s
+        return float(self.wl_flops / total / 1e9) if total > 0 else 0.0
+
+
+class BatchEvaluator:
+    """Evaluates design groups of candidates, one pass per group.
+
+    Built once per engine from its staged evaluator; everything memoized
+    across groups lives in the per-search state passed to each call, and
+    each group's representative graph is private to the call.
     """
 
     def __init__(self, evaluator, gpu: GPUSpec, workload: Workload) -> None:
@@ -168,36 +204,42 @@ class BatchEvaluator:
         matrix: SparseMatrix,
         proposal: SampledStructure,
         assignments: Sequence[Dict],
-        token: Tuple,
-        x: np.ndarray,
-        reference: np.ndarray,
-        verify_key: str,
+        state: "_SearchState",
     ) -> List[Tuple[float, Optional[GeneratedProgram], str]]:
-        """``(gflops, program, error)`` per candidate, in submission order.
+        """``(gflops, program, error)`` per candidate, in group order."""
+        group = self.assemble(matrix, proposal, assignments, state)
+        return self.finish(group, range(len(group.errors)), state)
 
-        Mirrors ``SearchEngine._evaluate`` byte-for-byte: the same error
-        strings (cached failures replay their exact class and message), the
-        same GFLOPS accumulation order, the same once-per-design numeric
-        verdict.
-        """
-        evaluator = self.evaluator
-        timings = evaluator.timings
+    # ------------------------------------------------------------------
+    def assemble(
+        self,
+        matrix: SparseMatrix,
+        proposal: SampledStructure,
+        assignments: Sequence[Dict],
+        state: "_SearchState",
+    ) -> AssembledGroup:
+        """Design, assemble and cost one group (see the module docstring)."""
         workload = self.workload
         gpu = self.gpu
         locks = proposal.locks
         assignments = list(assignments)
         n = len(assignments)
+        group = AssembledGroup(
+            matrix=matrix, wl_flops=workload.flops(matrix.nnz), errors=[None] * n
+        )
 
         # ---- design phase: once per group --------------------------------
         try:
             rep = graph_with_params(proposal.graph, assignments[0], locks)
             signature = design_signature(rep)
-            key = (token, signature)
-            leaves = evaluator.design_leaves(matrix, rep, token, signature)
+            leaves = state.design_leaves(
+                signature,
+                lambda: self.evaluator.design(matrix, rep, state.token, signature),
+            )
         except EVAL_ERRORS as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            return [(0.0, None, error)] * n
-        design = evaluator.analysis.for_design(key)
+            group.errors = [f"{type(exc).__name__}: {exc}"] * n
+            return group
+        design = group.design = state.design_analysis(signature)
 
         # ---- batch assembly: units for the whole runtime grid ------------
         t0 = time.perf_counter()
@@ -213,17 +255,13 @@ class BatchEvaluator:
         ]
         leaf_las = [design.leaf(i) for i in range(len(leaves))]
 
-        mergeds = []
-        for assignment in assignments:
-            merged = dict(locks)
-            merged.update(assignment)
-            mergeds.append(merged)
-
         # Unit-cache keys per candidate per leaf: graft each candidate's
         # runtime parameters onto the (group-private) representative graph
         # instead of copying the whole graph per candidate.
         unit_keys: List[List[Tuple]] = []
-        for merged in mergeds:
+        for assignment in assignments:
+            merged = dict(locks)
+            merged.update(assignment)
             for i in runtime_idx:
                 params = dict(proposal_walk[i].params)
                 for (idx, name), value in merged.items():
@@ -247,8 +285,7 @@ class BatchEvaluator:
             keys = [unit_keys[c][len(unit_entries)] for c in range(n)]
             unit_entries.append(la.unit_batch(keys, compute))
 
-        errors: List[Optional[str]] = [None] * n
-        kernels_of: List[Optional[List[KernelUnit]]] = [None] * n
+        group.kernels = [None] * n
         for c in range(n):
             kernels: List[KernelUnit] = []
             error = None
@@ -264,27 +301,22 @@ class BatchEvaluator:
                 )
                 if conflict is not None:
                     error = f"BuildError: {conflict}"
-            errors[c] = error
+            group.errors[c] = error
             if error is None:
-                kernels_of[c] = kernels
-        timings.add("batch_assembly", time.perf_counter() - t0)
+                group.kernels[c] = kernels
+        state.add_time("batch_assembly", time.perf_counter() - t0)
 
-        # ---- batch cost + scoring ----------------------------------------
+        # ---- batch cost: every leaf's distribution batch at once ---------
+        # Plans are shared per distribution, so the distinct set is tiny
+        # even for large groups.
         t0 = time.perf_counter()
-        verify_s = 0.0
-        x64 = np.asarray(x, dtype=np.float64)
-
-        # Cost projections for each leaf's whole distribution-digest batch
-        # at once (plans are shared per distribution, so the distinct set
-        # is tiny even for large groups).
         cost_maps: List[Dict[Tuple, Tuple]] = []
         for li, la in enumerate(leaf_las):
             plans: Dict[Tuple, object] = {}
-            for c in range(n):
-                if errors[c] is not None:
-                    continue
-                plan = kernels_of[c][li].plan
-                plans.setdefault(cost_entry_key(plan, gpu, workload), plan)
+            for kernels in group.kernels:
+                if kernels is not None:
+                    plan = kernels[li].plan
+                    plans.setdefault(cost_entry_key(plan, gpu, workload), plan)
             keys = list(plans)
             entries = la.cost_batch(
                 keys,
@@ -293,29 +325,58 @@ class BatchEvaluator:
                 ),
             )
             cost_maps.append(dict(zip(keys, entries)))
+        group.costs = [
+            None
+            if kernels is None
+            else [
+                cost_maps[li][cost_entry_key(unit.plan, gpu, workload)]
+                for li, unit in enumerate(kernels)
+            ]
+            for kernels in group.kernels
+        ]
+        group.ys = [None] * len(leaves)
+        state.add_time("batch_cost", time.perf_counter() - t0)
+        return group
 
-        wl_flops = workload.flops(matrix.nnz)
+    # ------------------------------------------------------------------
+    def finish(
+        self,
+        group: AssembledGroup,
+        candidates: Sequence[int],
+        state: "_SearchState",
+    ) -> List[Tuple[float, Optional[GeneratedProgram], str]]:
+        """Run and verify the given candidates of an assembled group:
+        ``(gflops, program, error)`` for each, in the order given.
+
+        Mirrors ``GeneratedProgram.run`` plus the search's numeric gate
+        byte-for-byte: the same error strings, the same GFLOPS
+        accumulation order, the same once-per-design numeric verdict.
+        """
+        t0 = time.perf_counter()
+        verify_s = 0.0
+        workload = self.workload
+        matrix = group.matrix
+        design = group.design
+        x64 = np.asarray(state.x, dtype=np.float64)
         result_shape = workload.result_shape(matrix.n_rows, matrix.n_cols)
-        y_entries: List[Optional[Tuple]] = [None] * len(leaves)
         results: List[Tuple[float, Optional[GeneratedProgram], str]] = []
-        for c in range(n):
-            if errors[c] is not None:
-                results.append((0.0, None, errors[c]))
+        for c in candidates:
+            if group.errors[c] is not None:
+                results.append((0.0, None, group.errors[c]))
                 continue
-            kernels = kernels_of[c]
+            kernels = group.kernels[c]
             total = 0.0
             ys: List[np.ndarray] = []
             error = None
-            for li, unit in enumerate(kernels):
-                entry = cost_maps[li][cost_entry_key(unit.plan, gpu, workload)]
+            for li, (unit, entry) in enumerate(zip(kernels, group.costs[c])):
                 if entry[0] == "error":
                     error = f"PlanValidationError: {entry[1]}"
                     break
                 total += entry[2].total_s
-                y_entry = y_entries[li]
+                y_entry = group.ys[li]
                 if y_entry is None:
                     y_entry = functional_y_entry(unit.plan, x64, workload)
-                    y_entries[li] = y_entry
+                    group.ys[li] = y_entry
                 if y_entry[0] == "error":
                     error = f"PlanValidationError: {y_entry[1]}"
                     break
@@ -323,7 +384,18 @@ class BatchEvaluator:
             if error is not None:
                 results.append((0.0, None, error))
                 continue
-            gflops = wl_flops / total / 1e9 if total > 0 else 0.0
+            gflops = group.wl_flops / total / 1e9 if total > 0 else 0.0
+            tv = time.perf_counter()
+            ok = design.verdict(
+                state.verify_key,
+                lambda ys=ys: workload.allclose(
+                    _sum_y(ys, result_shape), state.reference
+                ),
+            )
+            verify_s += time.perf_counter() - tv
+            if not ok:
+                results.append((0.0, None, "numeric mismatch"))
+                continue
             program = GeneratedProgram(
                 matrix_name=matrix.name,
                 n_rows=matrix.n_rows,
@@ -332,18 +404,7 @@ class BatchEvaluator:
                 kernels=kernels,
                 analysis=design,
             )
-            tv = time.perf_counter()
-            ok = design.verdict(
-                verify_key,
-                lambda ys=ys: workload.allclose(
-                    _sum_y(ys, result_shape), reference
-                ),
-            )
-            verify_s += time.perf_counter() - tv
-            if not ok:
-                results.append((0.0, None, "numeric mismatch"))
-                continue
             results.append((float(gflops), program, ""))
-        timings.add("batch_cost", time.perf_counter() - t0 - verify_s)
-        timings.add("verify", verify_s)
+        state.add_time("batch_cost", time.perf_counter() - t0 - verify_s)
+        state.add_time("verify", verify_s)
         return results

@@ -9,48 +9,52 @@ termination of the first two levels; every invalid candidate (dependency
 violation, semantic reduction failure, wrong numeric result) scores zero and
 is recorded, mirroring how the real system discards non-compiling kernels.
 
-Candidate evaluation is delegated to the staged runtime of
-:mod:`repro.search.evaluation`: design leaves are computed once per
-structure signature and reused across the whole runtime-parameter grid
-(content-addressed :class:`~repro.search.evaluation.DesignCache`), and a
-structure's parameter grid is evaluated as an ordered batch over an
-optional worker pool (``SearchBudget.jobs``).  The engine itself holds no
-per-search mutable state — schedules and RNGs are created per
-:meth:`SearchEngine.search` call — so one engine (one cache, one pool) can
-drive many searches, including the collection-level
-:meth:`SearchEngine.search_many` driver used by the CLI and the benchmark
-harness.
+Candidates are evaluated in design groups by the batched evaluator of
+:mod:`repro.search.batcheval`: design leaves are computed once per
+structure signature and reused across the whole runtime-parameter grid.
+Every memo that reuse needs — Designer outcomes, leaf analyses, static
+verdicts — lives in the per-search state together with its hit counts and
+stage timings, and is dropped when :meth:`SearchEngine.search` returns.
+The engine itself holds no per-search mutable state — schedules and RNGs
+are created per call too — so one engine can drive many searches,
+including the collection-level :meth:`SearchEngine.search_many` loop
+used by the CLI and the benchmark harness, without holding any earlier
+matrix's arrays.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from repro.core.designer import DesignError
+from repro.core.designer import DesignError, DesignLeaf
 from repro.core.graph import GraphValidationError, OperatorGraph
-from repro.core.kernel.builder import BuildError, KernelBuilder
+from repro.core.kernel.builder import KernelBuilder
 from repro.core.kernel.program import GeneratedProgram
 from repro.core.optimizer import ModelDrivenCompressor
 from repro.gpu.arch import GPUSpec
-from repro.gpu.executor import PlanValidationError
-from repro.gpu.analysis import LeafAnalysisCache, content_digest
+from repro.gpu.analysis import DesignAnalysis, content_digest
 from repro.search.annealing import AnnealingSchedule
 from repro.search.batcheval import (
+    AssembledGroup,
     BatchEvaluator,
     design_group_key,
     group_candidates,
 )
-from repro.search.evaluation import (
-    DesignCache,
-    EvaluationRuntime,
-    StagedEvaluator,
-    StageTimings,
-    matrix_token,
-)
+from repro.search.evaluation import StagedEvaluator, matrix_token
 from repro.search.mlmodel import GradientBoostedTrees, mean_absolute_deviation
 from repro.store.design import DesignStore
 from repro.store.errors import StoreError
@@ -75,7 +79,7 @@ from repro.search.space import (
 )
 from repro.sparse.matrix import SparseMatrix
 from repro.staticcheck.diagnostics import Verdict
-from repro.staticcheck.facts import MatrixFacts
+from repro.staticcheck.facts import MatrixFacts, matrix_facts
 from repro.staticcheck.reduction import analyze_design
 from repro.workloads import DEFAULT_WORKLOAD, WORKLOADS, Workload, get_workload
 
@@ -89,13 +93,10 @@ class SearchBudget:
     The paper caps searches at 8 hours of kernel runs; here the analogous
     hard caps are evaluation counts (each evaluation builds and runs one
     generated program).  ``max_total_evals`` bounds coarse *and* fine
-    evaluations together.  ``jobs`` selects the evaluation worker count:
-    1 is a deterministic serial loop, >1 evaluates each structure's
-    parameter batch on a thread pool — identical results, less wall
-    clock, for count-budgeted searches.  With ``time_limit_s`` set the
-    evaluation count at the deadline depends on wall clock (and, pooled,
-    on batches completing in flight), so time-limited histories are not
-    reproducible under any ``jobs`` setting.
+    evaluations together.  ``time_limit_s`` additionally stops the search
+    between design groups once the wall clock runs out; the evaluation
+    count at the deadline depends on the host, so only count-budgeted
+    histories are reproducible.
 
     ``ml_min_samples`` defaults to the size of the coarse runtime grid
     (``SET_RESOURCES``: 3 thread counts x 2 work grains) — the sample
@@ -110,7 +111,6 @@ class SearchBudget:
     ml_fine_cap: int = 256
     ml_min_samples: int = 6
     time_limit_s: Optional[float] = None
-    jobs: int = 1
 
 
 @dataclass
@@ -127,7 +127,7 @@ class EvalRecord:
 
     def identity(self) -> Tuple:
         """Hashable form of every result-bearing field — the byte-identity
-        contract the cache/parallelism tests and benchmarks compare on."""
+        contract the golden-digest tests and benchmarks compare on."""
         return (
             self.iteration,
             self.structure_sig,
@@ -155,15 +155,15 @@ class SearchResult:
     banned_operators: Set[str]
     ml_mad: Optional[float]
     wall_time_s: float
-    #: staged-runtime accounting (per search): Designer executions and the
-    #: design-cache hit/miss counters that verify cached design reuse.
+    #: design-reuse accounting: Designer executions and the design memo's
+    #: hit/miss counters (one lookup per design group; misses are the
+    #: distinct design signatures the search met).
     designer_runs: int = 0
     design_cache_hits: int = 0
     design_cache_misses: int = 0
-    jobs: int = 1
-    #: leaf-analysis cache counters (design-level lookups) and the
-    #: per-stage wall-time breakdown (design / assembly / analysis /
-    #: verify / ml) accumulated by the staged evaluator.
+    #: leaf-analysis memo counters (one lookup per successfully designed
+    #: group) and the per-stage wall-time breakdown (design /
+    #: batch_assembly / batch_cost / verify / ml).
     analysis_cache_hits: int = 0
     analysis_cache_misses: int = 0
     stage_times: Dict[str, float] = field(default_factory=dict)
@@ -239,8 +239,58 @@ class _SearchState:
     #: static-verifier verdicts memoized per (structure signature, params
     #: with grid_threads masked) — the verifier reads threads_per_block
     #: but never grid_threads, so candidates differing only in work grain
-    #: share one verdict.  Used by the batched path only.
+    #: share one verdict.
     static_memo: Dict[Tuple, bool] = field(default_factory=dict)
+    #: Designer outcomes per design signature (the matrix token is fixed
+    #: within a search): the leaves, or the message of the
+    #: :class:`DesignError` a structurally invalid design raised.
+    designs: Dict[Tuple, Union[List[DesignLeaf], str]] = field(
+        default_factory=dict
+    )
+    #: leaf-level analyses per design signature, shared by every
+    #: candidate of the design's runtime-parameter grid
+    analyses: Dict[Tuple, DesignAnalysis] = field(default_factory=dict)
+    design_hits: int = 0
+    analysis_hits: int = 0
+    #: wall seconds per evaluation stage
+    stage_times: Dict[str, float] = field(default_factory=dict)
+
+    def add_time(self, stage: str, seconds: float) -> None:
+        self.stage_times[stage] = self.stage_times.get(stage, 0.0) + seconds
+
+    def design_leaves(
+        self, signature: Tuple, design: Callable[[], List[DesignLeaf]]
+    ) -> List[DesignLeaf]:
+        """The design's leaves, running ``design`` at most once per
+        signature.  A :class:`DesignError` outcome is memoized too and
+        re-raised on every lookup: each parameter assignment of a
+        structurally invalid graph records the same dead candidate, and
+        rediscovering the failure would cost a Designer run per group."""
+        t0 = time.perf_counter()
+        try:
+            outcome = self.designs.get(signature)
+            if outcome is None:
+                try:
+                    outcome = design()
+                except DesignError as exc:
+                    outcome = str(exc)
+                self.designs[signature] = outcome
+            else:
+                self.design_hits += 1
+        finally:
+            self.add_time("design", time.perf_counter() - t0)
+        if isinstance(outcome, str):
+            raise DesignError(outcome)
+        return outcome
+
+    def design_analysis(self, signature: Tuple) -> DesignAnalysis:
+        """The design's analysis, created on its first lookup."""
+        analysis = self.analyses.get(signature)
+        if analysis is None:
+            analysis = self.analyses[signature] = DesignAnalysis()
+        else:
+            self.analysis_hits += 1
+        return analysis
 
     def time_up(self) -> bool:
         return (
@@ -255,8 +305,8 @@ class _SearchState:
 class SearchEngine:
     """Drives AlphaSparse: enumerate, measure, interpolate, stop.
 
-    Safe to reuse (and, with ``jobs > 1``, shares one worker pool and one
-    design cache) across many searches; see :meth:`search_many`.
+    Safe to reuse across many searches (see :meth:`search_many`): nothing
+    a search memoizes outlives it.
     """
 
     def __init__(
@@ -270,22 +320,18 @@ class SearchEngine:
         enable_extensions: bool = False,
         enable_seeding: bool = True,
         enable_static_pruning: bool = True,
-        enable_design_cache: bool = True,
-        enable_analysis_cache: bool = True,
-        runtime: Optional[EvaluationRuntime] = None,
         store: Optional[DesignStore] = None,
         workload: Optional[Workload] = None,
         sampler: Optional[object] = None,
         sampler_seed: Optional[int] = None,
         enable_sampler_pruning: bool = True,
-        enable_batch_eval: bool = True,
         warm_start_store: Optional[DesignStore] = None,
     ) -> None:
         self.gpu = gpu
         self.budget = budget or SearchBudget()
         #: the operation every candidate is built, run and verified for
-        #: (one engine = one workload; caches/stores are keyed so that
-        #: engines of different workloads sharing a store never cross).
+        #: (one engine = one workload; stores are keyed so that engines of
+        #: different workloads sharing a store never cross).
         self.workload = (
             get_workload(workload) if workload is not None else DEFAULT_WORKLOAD
         )
@@ -323,57 +369,23 @@ class SearchEngine:
         self.builder = KernelBuilder(
             compressor=ModelDrivenCompressor(), workload=self.workload
         )
-        #: content-addressed Designer-output cache (None = ablated)
-        self.cache: Optional[DesignCache] = (
-            DesignCache() if enable_design_cache else None
-        )
-        #: leaf-level plan-analysis cache (None = ablated): shares cost
-        #: projections, functional y and verdicts across each design
-        #: leaf's runtime-parameter grid.
-        self.analysis: Optional[LeafAnalysisCache] = (
-            LeafAnalysisCache() if enable_analysis_cache else None
-        )
-        #: persistent design store (None = purely in-memory caching):
-        #: searches read stored designs through the cache and write every
-        #: Designer outcome back, so a later *process* warm-starts.
+        #: persistent design store (None = in-memory only): searches read
+        #: stored designs through and write every Designer outcome back,
+        #: so a later *process* warm-starts.
         self.store = store
-        self.evaluator = StagedEvaluator(
-            self.builder,
-            cache=self.cache,
-            analysis=self.analysis,
-            store=store,
-            arch=gpu.name,
-        )
-        #: batched group evaluator (None = legacy per-candidate path):
-        #: candidates sharing a design signature evaluate as one vectorized
-        #: pass (see :mod:`repro.search.batcheval`).  Requires both the
-        #: design and analysis caches — ablating either falls back to the
-        #: per-candidate path, so cache-off counters keep their historical
-        #: meaning (one Designer run per evaluation, etc.).  Histories are
-        #: byte-identical batched vs not.
-        self.batch: Optional[BatchEvaluator] = (
-            BatchEvaluator(self.evaluator, gpu, self.workload)
-            if enable_batch_eval
-            and self.cache is not None
-            and self.analysis is not None
-            else None
-        )
+        self.evaluator = StagedEvaluator(self.builder, store=store, arch=gpu.name)
+        #: group evaluator: candidates sharing a design signature evaluate
+        #: as one vectorized pass (see :mod:`repro.search.batcheval`).
+        self.batch = BatchEvaluator(self.evaluator, gpu, self.workload)
         #: store consulted for cross-matrix warm starts (None = off): each
         #: search seeds itself from the closest prior winner's graph,
         #: injected as an iteration-0 candidate before the ask/tell loop.
         self.warm_start_store = warm_start_store
-        #: ``runtime`` injection lets many engines share one worker pool
-        #: (the benchmark harness does this); an injected runtime is the
-        #: caller's to close.
-        self._owns_runtime = runtime is None
-        self.runtime = runtime or EvaluationRuntime(jobs=self.budget.jobs)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool (no-op for serial engines and for
-        engines using an injected, caller-owned runtime)."""
-        if self._owns_runtime:
-            self.runtime.close()
+        """Release the engine (a no-op: it holds nothing between
+        searches; kept so engines work as context managers)."""
 
     def __enter__(self) -> "SearchEngine":
         return self
@@ -389,8 +401,8 @@ class SearchEngine:
     ) -> List[SearchResult]:
         """Collection-level driver: search every matrix with this engine.
 
-        All searches share the engine's design cache and worker pool —
-        the way the benchmark harness reproduces whole paper figures.
+        The way the benchmark harness reproduces whole paper figures;
+        each search's memos are dropped before the next one starts.
         ``seeds`` optionally overrides the engine seed per matrix.
         """
         matrices = list(matrices)
@@ -407,11 +419,6 @@ class SearchEngine:
     ) -> SearchResult:
         start = time.perf_counter()
         rng = np.random.default_rng(self.seed if seed is None else seed)
-        cache_before = self.cache.stats() if self.cache is not None else None
-        analysis_before = (
-            self.analysis.stats() if self.analysis is not None else None
-        )
-        timings_before = self.evaluator.timings.snapshot()
         store_before = self.store.stats() if self.store is not None else None
         designer_before = self.builder.designer.executions
         banned = (
@@ -451,11 +458,7 @@ class SearchEngine:
             x=x,
             reference=reference,
             verify_key=content_digest(x, reference),
-            facts=(
-                self.evaluator.matrix_facts(matrix)
-                if self.enable_static_pruning
-                else None
-            ),
+            facts=matrix_facts(matrix) if self.enable_static_pruning else None,
         )
 
         structure_store: Dict[Tuple, SampledStructure] = {}
@@ -515,19 +518,6 @@ class SearchEngine:
             ml_mad = self._ml_level(matrix, state, structure_store, rng)
 
         designer_runs = self.builder.designer.executions - designer_before
-        cache_delta = (
-            self.cache.stats().since(cache_before)
-            if cache_before is not None
-            else None
-        )
-        analysis_delta = (
-            self.analysis.stats().since(analysis_before)
-            if analysis_before is not None
-            else None
-        )
-        stage_times = StageTimings.since(
-            timings_before, self.evaluator.timings.snapshot()
-        )
         store_delta = (
             self.store.stats().since(store_before)
             if store_before is not None
@@ -547,12 +537,11 @@ class SearchEngine:
             ml_mad=ml_mad,
             wall_time_s=time.perf_counter() - start,
             designer_runs=designer_runs,
-            design_cache_hits=cache_delta.hits if cache_delta else 0,
-            design_cache_misses=cache_delta.misses if cache_delta else 0,
-            jobs=self.runtime.jobs,
-            analysis_cache_hits=analysis_delta.hits if analysis_delta else 0,
-            analysis_cache_misses=analysis_delta.misses if analysis_delta else 0,
-            stage_times=stage_times,
+            design_cache_hits=state.design_hits,
+            design_cache_misses=len(state.designs),
+            analysis_cache_hits=state.analysis_hits,
+            analysis_cache_misses=len(state.analyses),
+            stage_times=dict(sorted(state.stage_times.items())),
             store_hits=store_delta.design_hits if store_delta else 0,
             store_misses=store_delta.design_misses if store_delta else 0,
             workload=self.workload.name,
@@ -578,7 +567,10 @@ class SearchEngine:
         With static pruning on, assignments whose reduction chain the
         verifier refutes for this matrix+workload are dropped before
         anything else — they consume no evaluation slot and leave no
-        history record, only the ``static_pruned`` counter.
+        history record, only the ``static_pruned`` counter.  Verdicts are
+        memoized per runtime-masked key (grid_threads only — the verifier
+        reads threads_per_block), so a structure's whole work-grain axis
+        shares one analyze_design pass.
 
         With ``prune`` set (adaptive samplers), survivors of a cheap
         successive-halving cost-projection tournament are fully measured
@@ -589,43 +581,26 @@ class SearchEngine:
         candidates = list(assignments)
         if state.facts is not None:
             kept = []
-            if self.batch is not None:
-                # Batched mode: memoize verdicts per runtime-masked key
-                # (grid_threads only — the verifier reads
-                # threads_per_block), so a structure's whole work-grain
-                # axis shares one analyze_design pass.
-                op_names = [node.op_name for node in proposal.graph.walk()]
-                for assignment in candidates:
-                    merged = dict(proposal.locks)
-                    merged.update(assignment)
-                    memo_key = (
-                        proposal.signature,
-                        design_group_key(merged, op_names, keep_tpb=True),
-                    )
-                    invalid = state.static_memo.get(memo_key)
-                    if invalid is None:
-                        graph = graph_with_params(
-                            proposal.graph, assignment, proposal.locks
-                        )
-                        report = analyze_design(
-                            graph, self.workload, state.facts
-                        )
-                        invalid = report.verdict is Verdict.INVALID
-                        state.static_memo[memo_key] = invalid
-                    if invalid:
-                        state.static_pruned += 1
-                    else:
-                        kept.append(assignment)
-            else:
-                for assignment in candidates:
+            op_names = [node.op_name for node in proposal.graph.walk()]
+            for assignment in candidates:
+                merged = dict(proposal.locks)
+                merged.update(assignment)
+                memo_key = (
+                    proposal.signature,
+                    design_group_key(merged, op_names, keep_tpb=True),
+                )
+                invalid = state.static_memo.get(memo_key)
+                if invalid is None:
                     graph = graph_with_params(
                         proposal.graph, assignment, proposal.locks
                     )
                     report = analyze_design(graph, self.workload, state.facts)
-                    if report.verdict is Verdict.INVALID:
-                        state.static_pruned += 1
-                    else:
-                        kept.append(assignment)
+                    invalid = report.verdict is Verdict.INVALID
+                    state.static_memo[memo_key] = invalid
+                if invalid:
+                    state.static_pruned += 1
+                else:
+                    kept.append(assignment)
             candidates = kept
         if prune and len(candidates) > self.sh_pruner.min_survivors:
             return self._measure_pruned(matrix, proposal, candidates, state, level)
@@ -643,28 +618,30 @@ class SearchEngine:
         """Successive-halving measurement (see
         :class:`~repro.search.pruning.SuccessiveHalvingPruner`).
 
-        Every candidate runs the cheap rung — the analytic cost projection
-        of :meth:`StagedEvaluator.project`, no functional execution or
-        verification — and the halving tournament on projected scores
-        groups candidates into waves: the final-rung survivors first, then
-        the per-rung eliminated groups in descending projection order.
-        Wave 0 is fully measured; later waves run only while no valid
-        measurement exists (projection failures and invalid designs score
-        0, so an all-invalid survivor wave falls through to the next
-        group).  Once a wave yields a valid winner, the remaining waves
-        are dropped and counted in ``sampler_pruned`` — lossless on this
-        simulator, where a valid candidate's measured GFLOPS equals its
-        projection, so no pruned candidate could have beaten the winner.
+        Every candidate runs the cheap rung — its design group's assembly
+        and cost pass, scored by :meth:`AssembledGroup.rung_score` with no
+        functional execution or verification — and the halving tournament
+        on projected scores groups candidates into waves: the final-rung
+        survivors first, then the per-rung eliminated groups in descending
+        projection order.  Wave 0 is fully measured; later waves run only
+        while no valid measurement exists (assembly failures and invalid
+        designs project 0, so an all-invalid survivor wave falls through
+        to the next group).  Once a wave yields a valid winner, the
+        remaining waves are dropped and counted in ``sampler_pruned`` —
+        lossless on this simulator, where a valid candidate's measured
+        GFLOPS equals its projection, so no pruned candidate could have
+        beaten the winner.
         """
-        scores = []
-        for assignment in candidates:
-            graph = graph_with_params(proposal.graph, assignment, proposal.locks)
-            scores.append(
-                self.evaluator.project(
-                    matrix, graph, self.gpu, self.workload, token=state.token
-                )
+        slots: List[Tuple[AssembledGroup, int]] = [None] * len(candidates)
+        for group in group_candidates(proposal, candidates):
+            assembled = self.batch.assemble(
+                matrix, proposal, group.assignments, state
             )
-        waves = self.sh_pruner.waves(scores)
+            for c, position in enumerate(group.indices):
+                slots[position] = (assembled, c)
+        waves = self.sh_pruner.waves(
+            [assembled.rung_score(c) for assembled, c in slots]
+        )
         records: List[EvalRecord] = []
         for index, wave in enumerate(waves):
             if index > 0 and any(r.valid and r.gflops > 0 for r in records):
@@ -672,13 +649,14 @@ class SearchEngine:
                 break
             if state.out_of_budget():
                 break
+            wave = wave[: max(0, self.budget.max_total_evals - state.evals)]
+            results = [
+                self.batch.finish(assembled, [c], state)[0]
+                for assembled, c in (slots[i] for i in wave)
+            ]
             records.extend(
-                self._measure_list(
-                    matrix,
-                    proposal,
-                    [candidates[i] for i in wave],
-                    state,
-                    level,
+                self._record(
+                    proposal, [candidates[i] for i in wave], results, state, level
                 )
             )
         return records
@@ -694,51 +672,38 @@ class SearchEngine:
     ) -> List[EvalRecord]:
         """Fully measure candidates as one ordered batch.
 
-        The batch is truncated to the remaining evaluation budget up front
-        (so ``max_total_evals`` holds under any worker count) and results
-        fold into the search state in submission order, keeping histories
-        byte-identical between serial and pooled execution.
-
-        With the batched evaluator active, candidates sharing a design
-        signature are grouped and each group evaluates as one vectorized
-        pass — a work unit of the runtime, so ``--jobs`` shards groups,
-        not candidates.  Results scatter back into submission order; a
-        group cut off by the time limit leaves holes, which only occurs
+        The batch is truncated to the remaining evaluation budget up front,
+        candidates sharing a design signature are grouped, and each group
+        evaluates as one vectorized pass.  Results fold into the search
+        state in submission order.  The time limit is checked between
+        groups; a group cut off by it leaves holes, which only occurs
         where reproducibility is already waived.
         """
         room = self.budget.max_total_evals - state.evals
         batch = list(candidates)[: max(0, room)]
-
-        if self.batch is not None and batch:
-            groups = group_candidates(proposal, batch)
-
-            def run_group(group):
-                return self.batch.evaluate_group(
-                    matrix,
-                    proposal,
-                    group.assignments,
-                    state.token,
-                    state.x,
-                    state.reference,
-                    state.verify_key,
-                )
-
-            group_results = self.runtime.map(
-                run_group, groups, stop=state.time_up
+        results: List[Optional[Tuple]] = [None] * len(batch)
+        for group in group_candidates(proposal, batch):
+            if state.time_up():
+                break
+            outs = self.batch.evaluate_group(
+                matrix, proposal, group.assignments, state
             )
-            results = [None] * len(batch)
-            for group, outs in zip(groups, group_results):
-                for position, out in zip(group.indices, outs):
-                    results[position] = out
-        else:
+            for position, out in zip(group.indices, outs):
+                results[position] = out
+        return self._record(proposal, batch, results, state, level)
 
-            def run(assignment: Dict):
-                return self._evaluate(matrix, proposal, assignment, state)
-
-            results = self.runtime.map(run, batch, stop=state.time_up)
-
+    def _record(
+        self,
+        proposal: SampledStructure,
+        assignments: Sequence[Dict],
+        results: Sequence[Optional[Tuple]],
+        state: _SearchState,
+        level: str,
+    ) -> List[EvalRecord]:
+        """Fold measured ``(gflops, program, error)`` results into history
+        records and the best-so-far, in order (``None`` = not run)."""
         records: List[EvalRecord] = []
-        for assignment, result in zip(batch, results):
+        for assignment, result in zip(assignments, results):
             if result is None:
                 continue
             gflops, program, error = result
@@ -761,50 +726,6 @@ class SearchEngine:
                 )
                 state.best_program = program
         return records
-
-    # ------------------------------------------------------------------
-    def _evaluate(
-        self,
-        matrix: SparseMatrix,
-        proposal: SampledStructure,
-        assignment: Dict,
-        state: _SearchState,
-    ) -> Tuple[float, Optional[GeneratedProgram], str]:
-        """Build + run one candidate; invalid candidates score 0."""
-        timings = self.evaluator.timings
-        try:
-            graph = graph_with_params(proposal.graph, assignment, proposal.locks)
-            program = self.evaluator.build(matrix, graph, token=state.token)
-            t0 = time.perf_counter()
-            # "analysis" stage = plan analysis + cost projection +
-            # functional execution (program.run), cached or not — with the
-            # analysis cache on, hits make this stage collapse.
-            result = program.run(state.x, self.gpu, workload=self.workload)
-            timings.add("analysis", time.perf_counter() - t0)
-            # Order-tolerant gate: atomic-reduction candidates accumulate
-            # in a different order than the reference (see the workload's
-            # allclose).  The verdict is a function of the design (not the
-            # runtime scalars), so analysis-backed programs verify once
-            # per design.
-            t0 = time.perf_counter()
-            if program.analysis is not None:
-                ok = program.analysis.verdict(
-                    state.verify_key,
-                    lambda: self.workload.allclose(result.y, state.reference),
-                )
-            else:
-                ok = self.workload.allclose(result.y, state.reference)
-            timings.add("verify", time.perf_counter() - t0)
-            if not ok:
-                return 0.0, None, "numeric mismatch"
-            return float(result.gflops), program, ""
-        except (
-            DesignError,
-            BuildError,
-            PlanValidationError,
-            GraphValidationError,
-        ) as exc:
-            return 0.0, None, f"{type(exc).__name__}: {exc}"
 
     # ------------------------------------------------------------------
     def _warm_start_proposal(
@@ -886,7 +807,7 @@ class SearchEngine:
             y = np.array([r.gflops for r in samples])
             model = GradientBoostedTrees().fit(X, y)
             mad = mean_absolute_deviation(y, model.predict(X))
-            self.evaluator.timings.add("ml", time.perf_counter() - t0)
+            state.add_time("ml", time.perf_counter() - t0)
 
             fine = enumerate_param_grid(
                 proposal.graph,
@@ -909,11 +830,11 @@ class SearchEngine:
             t0 = time.perf_counter()
             Xf = np.stack([features_for(slots, a) for a in fine])
             pred = model.predict(Xf)
-            self.evaluator.timings.add("ml", time.perf_counter() - t0)
+            state.add_time("ml", time.perf_counter() - t0)
             # Stable sort: tied predictions resolve to enumeration order,
             # which lists design-relevant combinations in contiguous blocks
             # — tied fine probes then share design leaves with one another
-            # (and with the coarse level) through the design cache.
+            # (and with the coarse level) through the design memo.
             top = np.argsort(-pred, kind="stable")[: self.budget.ml_top_k]
             self._measure_batch(
                 matrix,

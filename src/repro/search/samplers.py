@@ -40,11 +40,11 @@ Four samplers ship:
     compared, not scored absolutely.
 
 Adaptive samplers (everything but the annealer) draw only from their own
-seeded RNG inside ``ask``/``tell`` — never during evaluation — so ask
-sequences are byte-identical across any ``jobs`` setting, and they opt in
-to successive-halving eval pruning (``prunes = True``): the engine
-projects candidate costs cheaply and fully measures only rung survivors
-(see :class:`~repro.search.pruning.SuccessiveHalvingPruner`).
+seeded RNG inside ``ask``/``tell`` — never during evaluation — so a seed
+fixes the ask sequence, and they opt in to successive-halving eval pruning
+(``prunes = True``): the engine projects candidate costs cheaply and fully
+measures only rung survivors (see
+:class:`~repro.search.pruning.SuccessiveHalvingPruner`).
 """
 
 from __future__ import annotations

@@ -35,15 +35,12 @@ CSR baseline graph.  A ``DEGRADED`` answer is explicit (``source ==
 "degraded"``) so callers can tell a best-effort artifact from a measured
 one.
 
-Batches resolve over the engine's existing
-:class:`~repro.search.evaluation.EvaluationRuntime` pool: every request's
-exact-hit lookup (a pure store read) is sharded across the workers, then
-misses resolve in request order — neighbour transfers and fresh searches
-write results that later requests chain on, so ordering them keeps batch
-output identical to sequential resolution (searches still parallelise
-internally over the same pool).  Hit/miss/fallback counters are surfaced
-exactly like the in-memory cache stats (``stats()`` snapshots with
-``since`` deltas).
+Batches resolve in request order: each request tries the exact tier
+first (a failed store read counts as a miss there), and a miss walks the
+degradation ladder — neighbour transfers and fresh searches write results
+that later requests chain on, so batch output is identical to sequential
+resolution.  Hit/miss/fallback counters are surfaced as ``stats()``
+snapshots with ``since`` deltas.
 """
 
 from __future__ import annotations
@@ -108,7 +105,7 @@ def default_fallback_policy() -> RetryPolicy:
     )
 
 
-def default_serve_budget(jobs: int = 1) -> SearchBudget:
+def default_serve_budget() -> SearchBudget:
     """The bounded fresh-search budget: deep enough to find a usable
     design, far below the offline-search default (320 evaluations)."""
     return SearchBudget(
@@ -116,7 +113,6 @@ def default_serve_budget(jobs: int = 1) -> SearchBudget:
         coarse_evals_per_structure=8,
         max_total_evals=96,
         ml_top_k=4,
-        jobs=jobs,
     )
 
 
@@ -194,9 +190,9 @@ class ServeResponse:
 class Frontend:
     """Store-first request resolution over one shared search engine.
 
-    ``engine`` may be injected to share a runtime/cache beyond one
-    frontend (an injected engine is the caller's to close); otherwise the
-    frontend owns a store-backed engine built from ``budget``/``jobs``.
+    ``engine`` may be injected to share one engine beyond one frontend
+    (an injected engine is the caller's to close); otherwise the frontend
+    owns a store-backed engine built from ``budget``.
     """
 
     def __init__(
@@ -205,7 +201,6 @@ class Frontend:
         store: DesignStore,
         budget: Optional[SearchBudget] = None,
         seed: int = 0,
-        jobs: int = 1,
         engine: Optional[SearchEngine] = None,
         include_artifacts: bool = True,
         workload: Optional[Workload] = None,
@@ -222,7 +217,7 @@ class Frontend:
         ensure_engine_workload(engine, workload)
         self.engine = engine or SearchEngine(
             gpu,
-            budget=budget or default_serve_budget(jobs),
+            budget=budget or default_serve_budget(),
             seed=seed,
             store=store,
             workload=workload,
@@ -268,8 +263,8 @@ class Frontend:
         if metas is None:
             metas = self.store.result_metas(self.arch)
             with self._lock:
-                # Two pool workers may race on a cold cache; both scans
-                # return the same listing, keep whichever landed first.
+                # Two threads may race on a cold cache; both scans return
+                # the same listing, keep whichever landed first.
                 if self._metas is None:
                     self._metas = metas
                 metas = self._metas
@@ -317,51 +312,30 @@ class Frontend:
     ) -> List[ServeResponse]:
         """Resolve many requests; responses come back in request order.
 
-        The exact-hit tier — pure store reads — is sharded over the
-        engine's worker pool.  Misses then resolve *in request order*
-        (neighbour transfer, then bounded search), because those tiers
-        write results that later requests may legitimately chain on: a
-        request must see every earlier request's write-back, exactly as
-        sequential :meth:`resolve` calls would.  Batch output is therefore
-        identical to sequential resolution, deterministic for any
-        ``jobs`` setting.
+        Requests resolve one after another, so a request sees every
+        earlier request's write-back (neighbour transfers and fresh
+        searches), exactly as sequential :meth:`resolve` calls would.
 
-        One request's failure never loses the rest of the batch: a store
-        read that dies on a pool worker simply falls through to the
-        ordered loop, and there each request is re-resolved individually
-        down the degradation ladder (:attr:`fallback_policy`), bottoming
-        out at a ``DEGRADED`` answer.  The ``retried``/``degraded``
-        counters on :meth:`stats` surface how often that happened.
+        One request's failure never loses the rest of the batch: an exact
+        read that fails counts as a miss, and the request is then
+        re-resolved down the degradation ladder (:attr:`fallback_policy`),
+        bottoming out at a ``DEGRADED`` answer.  The ``retried``/
+        ``degraded`` counters on :meth:`stats` surface how often that
+        happened.
         """
-        matrices = list(matrices)
-        tokens = [matrix_token(m) for m in matrices]
-
-        def exact(item: Tuple[SparseMatrix, Tuple]) -> Optional[ServeResponse]:
-            t0 = time.perf_counter()
-            try:
-                response = self._from_store(item[0], item[1])
-            except self.fallback_policy.retry_on:
-                # an injected (or real) store failure on a worker must
-                # not poison the batch: treat as a miss, the ordered
-                # loop below retries this request with the full ladder
-                return None
-            if response is not None:
-                response.wall_time_s = time.perf_counter() - t0
-            return response
-
-        exact_responses = self.engine.runtime.map(
-            exact, list(zip(matrices, tokens))
-        )
         responses: List[ServeResponse] = []
-        for matrix, token, response in zip(matrices, tokens, exact_responses):
+        for matrix in matrices:
+            t0 = time.perf_counter()
+            token = matrix_token(matrix)
+            try:
+                response = self._from_store(matrix, token)
+            except self.fallback_policy.retry_on:
+                response = None
             if response is not None:
                 self._count("exact_hits")
             else:
-                t0 = time.perf_counter()
-                # Re-check the exact tier too: an earlier miss in this
-                # loop may just have written this matrix (duplicates).
                 response = self._resolve_with_fallback(matrix, token, max_tier)
-                response.wall_time_s = time.perf_counter() - t0
+            response.wall_time_s = time.perf_counter() - t0
             responses.append(response)
         return responses
 
@@ -470,21 +444,8 @@ class Frontend:
         )
 
     # ------------------------------------------------------------------
-    # Tier 1 + 2 (cheap; safe to run on pool workers)
+    # Tier 1 + 2 (cheap)
     # ------------------------------------------------------------------
-    def _resolve_fast(
-        self, matrix: SparseMatrix, token: Tuple
-    ) -> Optional[ServeResponse]:
-        response = self._from_store(matrix, token)
-        if response is not None:
-            self._count("exact_hits")
-            return response
-        response = self._from_neighbour(matrix, token)
-        if response is not None:
-            self._count("neighbour_hits")
-            return response
-        return None
-
     def _from_store(
         self, matrix: SparseMatrix, token: Tuple
     ) -> Optional[ServeResponse]:
@@ -583,8 +544,7 @@ class Frontend:
         return float(result.gflops), program
 
     # ------------------------------------------------------------------
-    # Tier 3: bounded fresh search (serial across a batch; each search
-    # parallelises internally over the shared pool)
+    # Tier 3: bounded fresh search
     # ------------------------------------------------------------------
     def _search_seed(self, token: Tuple) -> int:
         """Content-derived seed — the corpus runner's exact scheme (same

@@ -31,8 +31,8 @@ __all__ = ["MatrixFacts", "matrix_facts"]
 
 @dataclass(frozen=True)
 class MatrixFacts:
-    """Aggregate facts of one matrix, computed once and reused across the
-    whole search (see ``StagedEvaluator.matrix_facts``)."""
+    """Aggregate facts of one matrix, computed once per search and reused
+    by every static verdict it asks for."""
 
     n_rows: int
     n_cols: int

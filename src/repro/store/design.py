@@ -6,9 +6,8 @@ process.  The :class:`DesignStore` turns search results into durable
 artifacts:
 
 **Design entries** persist Designer output keyed on
-``(matrix token, design signature, arch name)`` — exactly the in-memory
-:class:`~repro.search.evaluation.DesignCache` key plus the architecture —
-so a second search of the same matrix *in a different process* warm-starts
+``(matrix token, design signature, arch name)`` — a search's design-memo
+key plus the matrix and the architecture — so a second search of the same matrix *in a different process* warm-starts
 from stored designs and performs zero Designer runs.  Failed designs
 (:class:`~repro.core.designer.DesignError`) are stored too; replaying the
 failure is as load-bearing for byte-identical histories as replaying a

@@ -85,16 +85,15 @@ class TestMeasurementContract:
 
     def test_measure_baselines_batched(self, small_regular, x_for):
         from repro.baselines.base import measure_baselines
-        from repro.search.evaluation import EvaluationRuntime
 
         names = ["CSR", "COO", "ELL", "DIA"]
-        serial = measure_baselines(small_regular, A100, names, x=x_for(small_regular))
-        assert list(serial) == names
-        with EvaluationRuntime(jobs=3) as runtime:
-            pooled = measure_baselines(
-                small_regular, A100, names, x=x_for(small_regular), runtime=runtime
+        x = x_for(small_regular)
+        batched = measure_baselines(small_regular, A100, names, x=x)
+        assert list(batched) == names
+        for name in names:
+            assert batched[name] == get_baseline(name).measure(
+                small_regular, A100, x
             )
-        assert serial == pooled
 
 
 class TestApplicability:

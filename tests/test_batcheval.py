@@ -1,13 +1,15 @@
 """Batched group evaluation + cross-matrix warm-start tests.
 
-Acceptance bars (vectorized hot loop PR):
+Acceptance bars:
 
-* batched evaluation is a *pure optimisation*: search histories are
-  byte-identical across batch on/off x jobs 1/4 x store on/off — every
-  combination reproduces the golden digest captured from the seed
-  revision's per-candidate loop;
-* property-based differential: batch-on and batch-off searches agree
-  candidate-for-candidate over random matrices (hypothesis);
+* replay oracle: every candidate the group evaluator scores during a
+  search, rebuilt alone through the plain reference path that baselines
+  and export use (``graph_with_params`` → ``KernelBuilder.build`` →
+  ``GeneratedProgram.run`` → ``workload.allclose``), gets exactly the same
+  ``(gflops, valid, error)`` — on the golden matrix and on random
+  matrices (hypothesis);
+* search histories reproduce the golden digest captured from the seed
+  revision's per-candidate loop, store on and off;
 * cross-matrix warm starts: a stored winner seeds the candidate stream
   as an iteration-0 candidate, an empty store degrades to an exactly
   cold search, and the corpus runner pins its config/record keys only
@@ -21,9 +23,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro import SearchEngine, named_matrix
 from repro.bench import CorpusRunner
+from repro.core.designer import DesignError
+from repro.core.graph import GraphValidationError, OperatorGraph
+from repro.core.kernel.builder import BuildError, KernelBuilder
+from repro.core.optimizer import ModelDrivenCompressor
 from repro.gpu import A100
+from repro.gpu.executor import PlanValidationError
 from repro.search import SearchBudget
+from repro.search.engine import _SearchState
 from repro.search.evaluation import matrix_token
+from repro.search.space import SampledStructure, graph_with_params
 from repro.sparse import SparseMatrix, corpus
 from repro.store import DesignStore, search_result_record
 
@@ -44,32 +53,96 @@ def _identities(result):
 
 
 # ---------------------------------------------------------------------------
-# Byte-identity: batch on/off x jobs 1/4 x store on/off
+# Replay oracle: group evaluation == the plain one-candidate reference
 # ---------------------------------------------------------------------------
 
-class TestBatchedHistoryIdentity:
-    @pytest.mark.parametrize("batch", [True, False])
-    @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("with_store", [True, False])
-    def test_golden_history_every_combination(
-        self, batch, jobs, with_store, tmp_path
-    ):
-        store = (
-            DesignStore(str(tmp_path / f"store-{batch}-{jobs}"))
-            if with_store
-            else None
+def _assert_matches_reference(engine, matrix, scored):
+    """Rebuild each scored ``(proposal, assignment, (gflops, program,
+    error))`` through the plain reference path and require the identical
+    ``(gflops, valid, error)``."""
+    workload = engine.workload
+    builder = KernelBuilder(compressor=ModelDrivenCompressor(), workload=workload)
+    x = workload.make_operand(matrix)
+    reference = workload.reference(matrix, x)
+    for proposal, assignment, (gflops, _program, error) in scored:
+        try:
+            graph = graph_with_params(proposal.graph, assignment, proposal.locks)
+            run = builder.build(matrix, graph).run(x, A100, workload=workload)
+        except (
+            DesignError, BuildError, PlanValidationError, GraphValidationError
+        ) as exc:
+            want = (0.0, False, f"{type(exc).__name__}: {exc}")
+        else:
+            if workload.allclose(run.y, reference):
+                want = (float(run.gflops), True, "")
+            else:
+                want = (0.0, False, "numeric mismatch")
+        assert (gflops, error == "", error) == want, assignment
+
+
+def _assert_scores_replay(matrix, evals, seed=0):
+    """Search ``matrix`` with a spy on the group evaluator, then replay
+    every candidate it scored through the plain reference path."""
+    engine = SearchEngine(A100, budget=SearchBudget(max_total_evals=evals))
+    scored = []
+    evaluate_group = engine.batch.evaluate_group
+
+    def spy(matrix, proposal, assignments, state):
+        outs = evaluate_group(matrix, proposal, assignments, state)
+        scored.extend(
+            (proposal, assignment, out)
+            for assignment, out in zip(assignments, outs)
         )
+        return outs
+
+    engine.batch.evaluate_group = spy
+    result = engine.search(matrix, seed=seed)
+    assert len(scored) == result.total_evaluations
+    _assert_matches_reference(engine, matrix, scored)
+    return scored
+
+
+class TestBatchedHistoryIdentity:
+    @pytest.mark.parametrize("with_store", [True, False], ids=["store", "no-store"])
+    def test_golden_history(self, with_store, tmp_path):
+        store = DesignStore(str(tmp_path / "store")) if with_store else None
         with SearchEngine(
-            A100,
-            budget=SearchBudget(max_total_evals=96, jobs=jobs),
-            seed=0,
-            store=store,
-            enable_batch_eval=batch,
+            A100, budget=SearchBudget(max_total_evals=96), seed=0, store=store
         ) as engine:
             result = engine.search(named_matrix(GOLDEN_MATRIX))
         assert _history_digest(result) == GOLDEN_HISTORY_DIGEST, (
-            f"search history diverged (batch={batch}, jobs={jobs}, "
-            f"store={with_store})"
+            f"search history diverged (store={with_store})"
+        )
+
+    def test_golden_scores_replay_through_reference(self):
+        scored = _assert_scores_replay(named_matrix(GOLDEN_MATRIX), evals=96)
+        assert any(error == "" for _p, _a, (_g, _prog, error) in scored)
+
+    def test_assembly_errors_match_reference(self, small_regular):
+        """A group mixing valid and invalid runtime parameters: each
+        failure carries the reference build's exact class and message."""
+        engine = SearchEngine(A100)
+        x = engine.workload.make_operand(small_regular)
+        state = _SearchState(
+            start=0.0, budget=engine.budget, token=matrix_token(small_regular),
+            x=x, reference=engine.workload.reference(small_regular, x),
+            verify_key="verify",
+        )
+        proposal = SampledStructure(
+            graph=OperatorGraph.from_names(
+                ["COMPRESS", "SET_RESOURCES", "GMEM_ATOM_RED"]),
+            locks={},
+        )
+        assignments = [
+            {(1, "threads_per_block"): tpb} for tpb in (128, 100, 256)
+        ]
+        outs = engine.batch.evaluate_group(
+            small_regular, proposal, assignments, state
+        )
+        assert outs[1][2].startswith("DesignError: ")
+        _assert_matches_reference(
+            engine, small_regular,
+            [(proposal, a, out) for a, out in zip(assignments, outs)],
         )
 
     def test_batch_stage_timings_recorded(self):
@@ -80,35 +153,10 @@ class TestBatchedHistoryIdentity:
         times = dict(result.stage_times)
         assert times.get("batch_assembly", 0.0) > 0.0
         assert times.get("batch_cost", 0.0) > 0.0
-        # The per-candidate stages it replaces must not double-count.
+        # The per-candidate stages it replaced must not double-count.
         assert times.get("assembly", 0.0) == 0.0
         assert times.get("analysis", 0.0) == 0.0
 
-    def test_cache_off_falls_back_to_per_candidate_path(self):
-        """Ablating either cache disables batching (counters keep their
-        historical per-candidate meaning) — histories still agree."""
-        results = {}
-        for name, kwargs in {
-            "batched": {},
-            "no_design_cache": {"enable_design_cache": False},
-            "no_analysis_cache": {"enable_analysis_cache": False},
-        }.items():
-            with SearchEngine(
-                A100,
-                budget=SearchBudget(max_total_evals=24),
-                seed=0,
-                **kwargs,
-            ) as engine:
-                assert (engine.batch is not None) == (name == "batched")
-                results[name] = engine.search(named_matrix(GOLDEN_MATRIX))
-        ids = _identities(results["batched"])
-        assert _identities(results["no_design_cache"]) == ids
-        assert _identities(results["no_analysis_cache"]) == ids
-
-
-# ---------------------------------------------------------------------------
-# Property-based differential: batch on vs off over random matrices
-# ---------------------------------------------------------------------------
 
 @st.composite
 def small_matrices(draw, max_dim=20, max_nnz=48):
@@ -118,8 +166,8 @@ def small_matrices(draw, max_dim=20, max_nnz=48):
     rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=nnz, max_size=nnz))
     cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=nnz, max_size=nnz))
     # Strictly positive values: a matrix whose entries compress away to
-    # zero nnz crashes the builder on both evaluation paths (pre-existing
-    # degenerate-input behaviour, out of scope here).
+    # zero nnz crashes the builder (pre-existing degenerate-input
+    # behaviour, out of scope here).
     vals = draw(
         st.lists(st.floats(0.5, 8.0), min_size=nnz, max_size=nnz)
     )
@@ -129,19 +177,7 @@ def small_matrices(draw, max_dim=20, max_nnz=48):
 @given(small_matrices(), st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_property_batched_equals_per_candidate(matrix, seed):
-    results = []
-    for batch in (True, False):
-        with SearchEngine(
-            A100,
-            budget=SearchBudget(max_total_evals=16),
-            seed=0,
-            enable_batch_eval=batch,
-        ) as engine:
-            results.append(engine.search(matrix, seed=seed))
-    batched, serial = results
-    assert _identities(batched) == _identities(serial)
-    assert batched.best_gflops == serial.best_gflops
-    assert batched.total_evaluations == serial.total_evaluations
+    _assert_scores_replay(matrix, evals=16, seed=seed)
 
 
 # ---------------------------------------------------------------------------

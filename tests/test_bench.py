@@ -31,14 +31,8 @@ BUDGET = SearchBudget(max_structures=8, coarse_evals_per_structure=6,
                       max_total_evals=24)
 
 
-def run_corpus(store=None, matrices=None, jobs=1, seed=0):
-    budget = SearchBudget(
-        max_structures=BUDGET.max_structures,
-        coarse_evals_per_structure=BUDGET.coarse_evals_per_structure,
-        max_total_evals=BUDGET.max_total_evals,
-        jobs=jobs,
-    )
-    with CorpusRunner(A100, budget=budget, seed=seed, store=store) as runner:
+def run_corpus(store=None, matrices=None, seed=0):
+    with CorpusRunner(A100, budget=BUDGET, seed=seed, store=store) as runner:
         return runner.run(MATRICES if matrices is None else matrices)
 
 
@@ -174,22 +168,6 @@ class TestRunnerResume:
             return out
 
         assert stripped(alone.records[0]) == stripped(full.records[2])
-
-
-class TestRunnerParallel:
-    def test_jobs_do_not_change_the_tables(self, fresh_run):
-        """Byte-identical corpus report for any worker count (the staged
-        runtime's determinism guarantee, lifted to corpus level)."""
-        pooled = run_corpus(jobs=4)
-        assert (render_corpus_report(pooled.records)
-                == render_corpus_report(fresh_run.records))
-
-    def test_search_results_identical(self, fresh_run):
-        pooled = run_corpus(jobs=2)
-        for a, b in zip(fresh_run.records, pooled.records):
-            assert a["search"]["best_gflops"] == b["search"]["best_gflops"]
-            assert a["search"]["best_ops"] == b["search"]["best_ops"]
-            assert a["baselines"] == b["baselines"]
 
 
 class TestAggregation:

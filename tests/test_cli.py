@@ -78,13 +78,9 @@ class TestSearch:
         with pytest.raises(KeyError):
             main(["search", mtx_file, "--gpu", "H100", "--evals", "4"])
 
-    def test_jobs_flag(self, mtx_file, capsys):
-        assert main(["search", mtx_file, "--evals", "16", "--jobs", "2"]) == 0
-        assert "design cache" in capsys.readouterr().out
-
     def test_multi_matrix_summary(self, mtx_file, capsys):
         code = main([
-            "search", mtx_file, "@scfxm1-2r", "--evals", "16", "--jobs", "2",
+            "search", mtx_file, "@scfxm1-2r", "--evals", "16",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -112,7 +108,7 @@ class TestBench:
     def test_bench_smoke(self, two_matrices, tmp_path, capsys):
         store = tmp_path / "results.json"
         code = main([
-            "bench", *two_matrices, "--evals", "12", "--jobs", "2",
+            "bench", *two_matrices, "--evals", "12",
             "--resume", str(store),
         ])
         assert code == 0

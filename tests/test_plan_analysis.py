@@ -5,8 +5,8 @@ Three acceptance bars:
 * the bincount / boundary-diff statistics must equal the seed's sort-based
   ``np.unique`` implementations exactly (randomised property tests,
   including a full reference reimplementation of the old reduction walk);
-* search histories must be byte-identical with the leaf-analysis cache on
-  or off and for any worker count;
+* analysis-backed plans must cost and compute exactly what standalone
+  plans do;
 * numeric verification (``spmv_allclose``) must run once per design, not
   once per candidate.
 """
@@ -20,7 +20,7 @@ from repro.core.designer import Designer, default_invariant_checks
 from repro.core.graph import OperatorGraph
 from repro.core.kernel.builder import KernelBuilder
 from repro.gpu import A100
-from repro.gpu.analysis import AnalysisStats, LeafAnalysis, LeafAnalysisCache
+from repro.gpu.analysis import LeafAnalysis
 from repro.gpu.executor import (
     ExecutionPlan,
     PlanValidationError,
@@ -35,6 +35,7 @@ from repro.gpu.executor import (
 )
 from repro.gpu.memory import unique_column_count
 from repro.search import SearchBudget, SearchEngine
+from repro.search.engine import _SearchState
 from repro.search.evaluation import StagedEvaluator
 from repro.sparse import SparseMatrix, power_law_matrix
 
@@ -293,8 +294,7 @@ class TestAnalysisBackedEquivalence:
         graph = OperatorGraph.from_names(self.GRAPH)
         builder = KernelBuilder()
         plain = builder.build(small_irregular, graph)
-        evaluator = StagedEvaluator(builder, analysis=LeafAnalysisCache())
-        analysed = evaluator.build(small_irregular, graph)
+        analysed = StagedEvaluator(builder).build(small_irregular, graph)
         x = x_for(small_irregular)
         for unit_p, unit_a in zip(plain.kernels, analysed.kernels):
             assert unit_a.plan.analysis is not None
@@ -310,12 +310,10 @@ class TestAnalysisBackedEquivalence:
 
     def test_cached_y_is_shared_and_readonly(self, small_irregular, x_for):
         graph = OperatorGraph.from_names(self.GRAPH)
-        evaluator = StagedEvaluator(KernelBuilder(), analysis=LeafAnalysisCache())
+        program = StagedEvaluator(KernelBuilder()).build(small_irregular, graph)
         x = x_for(small_irregular)
-        first = evaluator.build(small_irregular, graph)
-        second = evaluator.build(small_irregular, graph)
-        y1 = execute(first.kernels[0].plan, x, A100).y
-        y2 = execute(second.kernels[0].plan, x, A100).y
+        y1 = execute(program.kernels[0].plan, x, A100).y
+        y2 = execute(program.kernels[0].plan, x, A100).y
         assert y1 is y2  # one functional execution per leaf per x
         assert not y1.flags.writeable
 
@@ -329,46 +327,14 @@ SMALL_BUDGET = SearchBudget(
 )
 
 
-def _engine(jobs=1, analysis=True, cache=True):
-    return SearchEngine(
-        A100,
-        budget=SearchBudget(
-            max_structures=SMALL_BUDGET.max_structures,
-            coarse_evals_per_structure=SMALL_BUDGET.coarse_evals_per_structure,
-            max_total_evals=SMALL_BUDGET.max_total_evals,
-            ml_top_k=SMALL_BUDGET.ml_top_k,
-            jobs=jobs,
-        ),
-        seed=3,
-        enable_design_cache=cache,
-        enable_analysis_cache=analysis,
-    )
-
-
-def _history_tuple(result):
-    return [r.identity() for r in result.history]
+def _engine():
+    return SearchEngine(A100, budget=SMALL_BUDGET, seed=3)
 
 
 class TestSearchIdentity:
     @pytest.fixture(scope="class")
     def matrix(self):
         return power_law_matrix(512, avg_degree=8, seed=2, name="pa_identity")
-
-    @pytest.fixture(scope="class")
-    def baseline(self, matrix):
-        return _engine(analysis=False).search(matrix)
-
-    @pytest.mark.parametrize(
-        "jobs,analysis,cache",
-        [(1, True, True), (4, True, True), (1, True, False), (4, True, False)],
-        ids=["serial", "jobs4", "serial-nodesigncache", "jobs4-nodesigncache"],
-    )
-    def test_histories_byte_identical(self, matrix, baseline, jobs, analysis, cache):
-        with _engine(jobs=jobs, analysis=analysis, cache=cache) as engine:
-            result = engine.search(matrix)
-        assert result.best_gflops == baseline.best_gflops
-        assert _history_tuple(result) == _history_tuple(baseline)
-        assert result.best_graph.signature() == baseline.best_graph.signature()
 
     def test_analysis_counters_surfaced(self, matrix):
         result = _engine().search(matrix)
@@ -379,9 +345,6 @@ class TestSearchIdentity:
             result.analysis_cache_hits + result.analysis_cache_misses
             <= result.total_evaluations
         )
-        off = _engine(analysis=False).search(matrix)
-        assert off.analysis_cache_hits == 0
-        assert off.analysis_cache_misses == 0
 
     def test_stage_times_recorded(self, matrix):
         result = _engine().search(matrix)
@@ -389,12 +352,10 @@ class TestSearchIdentity:
         # stages with whole-group batch_assembly/batch_cost passes.
         for stage in ("design", "batch_assembly", "batch_cost", "verify"):
             assert result.stage_times.get(stage, 0.0) > 0.0
-        assert sum(result.stage_times.values()) <= result.wall_time_s * 1.5
-
-    def test_stage_times_recorded_legacy_path(self, matrix):
-        result = _engine(cache=False).search(matrix)
-        for stage in ("design", "assembly", "analysis", "verify"):
-            assert result.stage_times.get(stage, 0.0) > 0.0
+        assert set(result.stage_times) <= {
+            "design", "batch_assembly", "batch_cost", "verify", "ml"
+        }
+        assert sum(result.stage_times.values()) <= result.wall_time_s
 
     def test_verification_runs_once_per_design(self, matrix, monkeypatch):
         # The engine verifies through the workload's allclose, which
@@ -485,31 +446,22 @@ class TestInvariantGating:
 
 
 # ---------------------------------------------------------------------------
-# LeafAnalysisCache behaviour
+# Analysis memo behaviour
 # ---------------------------------------------------------------------------
 
 class TestLeafAnalysisCache:
     def test_one_miss_per_design_key(self):
-        cache = LeafAnalysisCache()
-        a = cache.for_design(("k1",))
-        assert cache.for_design(("k1",)) is a
-        b = cache.for_design(("k2",))
+        """The per-search analysis memo: one DesignAnalysis per design
+        signature, later lookups hit."""
+        state = _SearchState(
+            start=0.0, budget=SMALL_BUDGET, token=("t",),
+            x=np.zeros(1), reference=np.zeros(1),
+        )
+        a = state.design_analysis(("k1",))
+        assert state.design_analysis(("k1",)) is a
+        b = state.design_analysis(("k2",))
         assert b is not a
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 2)
-
-    def test_lru_eviction(self):
-        cache = LeafAnalysisCache(max_entries=2)
-        for i in range(4):
-            cache.for_design((i,))
-        assert len(cache) == 2
-        assert cache.stats().evictions == 2
-
-    def test_stats_delta(self):
-        before = AnalysisStats(hits=1, misses=2, evictions=0)
-        after = AnalysisStats(hits=4, misses=3, evictions=1)
-        delta = after.since(before)
-        assert (delta.hits, delta.misses, delta.evictions) == (3, 1, 1)
+        assert (state.analysis_hits, len(state.analyses)) == (1, 2)
 
     def test_leaf_analysis_computes_once(self):
         analysis = LeafAnalysis()
@@ -526,8 +478,8 @@ class TestLeafAnalysisCache:
         assert not first.flags.writeable
 
     def test_assembly_errors_replayed_identically(self, small_regular):
-        """A cached runtime-parameter failure re-raises the same error
-        type and message the uncached path produces."""
+        """A runtime-parameter failure of the staged build raises the same
+        error type and message the plain build produces, every time."""
         from repro.core.designer import DesignError
 
         graph = OperatorGraph.from_names([
@@ -538,8 +490,8 @@ class TestLeafAnalysisCache:
         builder = KernelBuilder()
         with pytest.raises(DesignError) as plain:
             builder.build(small_regular, graph)
-        evaluator = StagedEvaluator(builder, analysis=LeafAnalysisCache())
-        for _ in range(2):  # second raise comes from the unit cache
-            with pytest.raises(DesignError) as cached:
+        evaluator = StagedEvaluator(builder)
+        for _ in range(2):
+            with pytest.raises(DesignError) as staged:
                 evaluator.build(small_regular, graph)
-            assert str(cached.value) == str(plain.value)
+            assert str(staged.value) == str(plain.value)

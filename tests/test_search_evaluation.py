@@ -1,10 +1,15 @@
-"""Staged evaluation runtime tests: cached design reuse, parallel batches.
+"""Staged evaluation tests: per-search design reuse and its accounting.
 
-The acceptance bar for the staged runtime: a search with the design cache
-and/or the parallel executor enabled must be *indistinguishable* from the
-serial uncached search — identical best GFLOPS, history and winning graph —
-while running the Designer at least 5x less often.
+The acceptance bars: a search runs the Designer at least 5x less often than
+it evaluates candidates, its memos count hits and misses truthfully, and
+nothing a search memoizes outlives it — one engine driving many searches
+holds no earlier matrix's designs or analyses once their results are gone.
+(That memoized scores equal the plain uncached build is the replay oracle
+in ``tests/test_batcheval.py``.)
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,9 +23,12 @@ from repro.core.kernel.builder import (
     runtime_nodes_for_leaf,
 )
 from repro.gpu import A100
-from repro.search import DesignCache, EvaluationRuntime, SearchBudget, SearchEngine
-from repro.search.evaluation import StagedEvaluator, matrix_token
-from repro.sparse import banded_matrix, power_law_matrix
+from repro.gpu.analysis import DesignAnalysis
+from repro.search import SearchBudget, SearchEngine
+from repro.search.engine import _SearchState
+from repro.search.evaluation import matrix_token
+from repro.search.space import SampledStructure
+from repro.sparse import banded_matrix, lp_like_matrix, power_law_matrix
 
 
 SMALL_BUDGET = SearchBudget(
@@ -28,18 +36,21 @@ SMALL_BUDGET = SearchBudget(
 )
 
 
-def _engine(jobs=1, cache=True, seed=3, budget=SMALL_BUDGET):
-    return SearchEngine(
-        A100,
-        budget=SearchBudget(
-            max_structures=budget.max_structures,
-            coarse_evals_per_structure=budget.coarse_evals_per_structure,
-            max_total_evals=budget.max_total_evals,
-            ml_top_k=budget.ml_top_k,
-            jobs=jobs,
-        ),
-        seed=seed,
-        enable_design_cache=cache,
+def _engine(seed=3, budget=SMALL_BUDGET):
+    return SearchEngine(A100, budget=budget, seed=seed)
+
+
+def _state(engine, matrix):
+    """A fresh per-search state for ``matrix``, as ``search`` builds it."""
+    x = engine.workload.make_operand(matrix)
+    reference = engine.workload.reference(matrix, x)
+    return _SearchState(
+        start=0.0,
+        budget=engine.budget,
+        token=matrix_token(matrix),
+        x=x,
+        reference=reference,
+        verify_key="verify",
     )
 
 
@@ -48,77 +59,18 @@ def _history_tuple(result):
 
 
 class TestCacheCorrectness:
-    """Cache-on and cache-off searches must be byte-identical."""
-
-    @pytest.fixture(scope="class")
-    def matrix(self):
-        return power_law_matrix(512, avg_degree=8, seed=2, name="eval_irregular")
-
-    @pytest.fixture(scope="class")
-    def cached(self, matrix):
-        return _engine(cache=True).search(matrix)
-
-    @pytest.fixture(scope="class")
-    def uncached(self, matrix):
-        return _engine(cache=False).search(matrix)
-
-    def test_identical_best_gflops(self, cached, uncached):
-        assert cached.best_gflops == uncached.best_gflops  # exact, not approx
-
-    def test_identical_history(self, cached, uncached):
-        assert _history_tuple(cached) == _history_tuple(uncached)
-
-    def test_identical_best_graph_signature(self, cached, uncached):
-        assert cached.best_graph.signature() == uncached.best_graph.signature()
-
-    def test_counters_surfaced(self, cached, uncached):
-        # The batched path looks the design cache up once per candidate
-        # *group*, not once per candidate — lookups are bounded by (and
-        # usually far below) the evaluation count.
-        assert cached.design_cache_misses > 0
-        assert cached.design_cache_hits + cached.design_cache_misses <= \
-            cached.total_evaluations
-        assert cached.designer_runs == cached.design_cache_misses
-        assert uncached.design_cache_hits == 0
-        assert uncached.designer_runs == uncached.total_evaluations
-
-
-class TestParallelDeterminism:
-    """--jobs N must produce seed-stable, jobs-independent results."""
-
-    def test_jobs_match_serial(self):
-        m = banded_matrix(640, bandwidth=4, seed=2, name="eval_regular")
-        serial = _engine(jobs=1).search(m)
-        with _engine(jobs=4) as engine:
-            parallel = engine.search(m)
-        assert parallel.best_gflops == serial.best_gflops
-        assert _history_tuple(parallel) == _history_tuple(serial)
-        assert parallel.designer_runs == serial.designer_runs
-        assert parallel.design_cache_hits == serial.design_cache_hits
-        assert parallel.jobs == 4
-
-    def test_runtime_map_orders_results(self):
-        with EvaluationRuntime(jobs=3) as runtime:
-            out = runtime.map(lambda v: v * v, list(range(20)))
-        assert out == [v * v for v in range(20)]
-
-    def test_runtime_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            EvaluationRuntime(jobs=0)
-
-    def test_injected_runtime_shared_and_caller_owned(self):
-        m = banded_matrix(256, bandwidth=3, seed=1, name="shared_rt")
-        with EvaluationRuntime(jobs=2) as runtime:
-            first = SearchEngine(
-                A100, budget=SMALL_BUDGET, seed=3, runtime=runtime
-            )
-            second = SearchEngine(
-                A100, budget=SMALL_BUDGET, seed=3, runtime=runtime
-            )
-            assert first.runtime is second.runtime
-            res = first.search(m)
-            first.close()  # must NOT shut down the caller's pool
-            assert second.search(m).best_gflops == res.best_gflops
+    def test_counters_surfaced(self):
+        """The search's memo counters: one design lookup per candidate
+        *group* (bounded by, and usually far below, the evaluation
+        count), one Designer run per miss, one analysis per design that
+        designed successfully."""
+        m = power_law_matrix(512, avg_degree=8, seed=2, name="eval_irregular")
+        result = _engine().search(m)
+        assert result.design_cache_misses > 0
+        assert result.design_cache_hits + result.design_cache_misses <= \
+            result.total_evaluations
+        assert result.designer_runs == result.design_cache_misses
+        assert 0 < result.analysis_cache_misses <= result.design_cache_misses
 
 
 class TestDesignerRunReduction:
@@ -244,19 +196,24 @@ class TestDesignSignature:
 
 
 class TestDesignCache:
-    def test_factory_runs_once_per_key(self):
-        cache = DesignCache()
+    """The per-search design memo (``_SearchState.design_leaves``)."""
+
+    def test_factory_runs_once_per_key(self, small_regular):
+        state = _state(_engine(), small_regular)
         calls = []
         leaves = ["leaf"]
         for _ in range(3):
-            out = cache.get_or_design(("k",), lambda: calls.append(1) or leaves)
+            out = state.design_leaves(("k",), lambda: calls.append(1) or leaves)
         assert out is leaves
         assert len(calls) == 1
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (2, 1)
+        assert (state.design_hits, len(state.designs)) == (2, 1)
+        assert state.stage_times["design"] >= 0.0
 
-    def test_design_errors_are_cached(self):
-        cache = DesignCache()
+    def test_design_errors_are_cached(self, small_regular):
+        """A DesignError outcome is memoized and replayed with its message,
+        so a structurally invalid design costs one Designer run per search
+        (the design store persists such failures the same way)."""
+        state = _state(_engine(), small_regular)
         calls = []
 
         def failing():
@@ -265,32 +222,9 @@ class TestDesignCache:
 
         for _ in range(2):
             with pytest.raises(DesignError, match="SORT: cannot apply"):
-                cache.get_or_design(("bad",), failing)
+                state.design_leaves(("bad",), failing)
         assert len(calls) == 1
-        assert cache.stats().hits == 1
-
-    def test_lru_eviction(self):
-        cache = DesignCache(max_entries=2)
-        for i in range(4):
-            cache.get_or_design((i,), lambda i=i: [i])
-        assert len(cache) == 2
-        assert cache.stats().evictions == 2
-
-    def test_eviction_restores_bound_after_burst(self):
-        """A backlog of completed entries (as left by a burst of concurrent
-        in-flight misses) shrinks all the way to max_entries on the next
-        insert — not just part of the way."""
-        from repro.search.evaluation import _CacheEntry
-
-        cache = DesignCache(max_entries=4)
-        with cache._lock:
-            for i in range(12):
-                entry = _CacheEntry()
-                entry.done = True
-                entry.leaves = [i]
-                cache._entries[("burst", i)] = entry
-        cache.get_or_design(("fresh",), lambda: ["leaf"])
-        assert len(cache) == cache.max_entries
+        assert state.design_hits == 1
 
     def test_matrix_token_distinguishes_content(self):
         a = banded_matrix(64, bandwidth=2, seed=0, name="same")
@@ -301,17 +235,28 @@ class TestDesignCache:
         )
 
     def test_shared_cache_serves_evaluator(self, small_regular):
-        cache = DesignCache()
-        evaluator = StagedEvaluator(KernelBuilder(), cache=cache)
+        """Two groups of one design in one search share its Designer run
+        and its analysis; each scores what the plain build measures."""
+        engine = _engine()
+        state = _state(engine, small_regular)
         graph = OperatorGraph.from_names(
             ["COMPRESS", "SET_RESOURCES", "GMEM_ATOM_RED"])
-        first = evaluator.build(small_regular, graph)
-        again = evaluator.build(small_regular, graph)
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-        x = np.random.default_rng(7).random(small_regular.n_cols)
-        np.testing.assert_allclose(
-            first.run(x, A100).y, again.run(x, A100).y)
+        proposal = SampledStructure(graph=graph, locks={})
+        outs = [
+            engine.batch.evaluate_group(
+                small_regular, proposal, [{(1, "threads_per_block"): tpb}], state
+            )[0]
+            for tpb in (128, 256)
+        ]
+        assert (state.design_hits, len(state.designs)) == (1, 1)
+        assert (state.analysis_hits, len(state.analyses)) == (1, 1)
+        for tpb, (gflops, program, error) in zip((128, 256), outs):
+            assert error == ""
+            plain = KernelBuilder().build(small_regular, OperatorGraph.from_names([
+                "COMPRESS", ("SET_RESOURCES", {"threads_per_block": tpb}),
+                "GMEM_ATOM_RED"]))
+            assert gflops == plain.run(state.x, A100).gflops
+            assert program.analysis is state.analyses[next(iter(state.analyses))]
 
 
 class TestSearchMany:
@@ -320,7 +265,7 @@ class TestSearchMany:
             banded_matrix(512, bandwidth=3, seed=1, name="many_a"),
             power_law_matrix(512, avg_degree=8, seed=2, name="many_b"),
         ]
-        with _engine(jobs=2) as engine:
+        with _engine() as engine:
             combined = engine.search_many(mats, seeds=[7, 9])
         individual = [
             _engine().search(mats[0], seed=7),
@@ -342,9 +287,52 @@ class TestEngineIsStateless:
         m = power_law_matrix(512, avg_degree=8, seed=2, name="stateless")
         engine = _engine()
         first = engine.search(m)
-        second = engine.search(m)  # warm cache, cloned schedule, fresh rng
+        second = engine.search(m)  # fresh memos, cloned schedule, fresh rng
         assert first.best_gflops == second.best_gflops
         assert _history_tuple(first) == _history_tuple(second)
-        # the second pass runs almost entirely from cache
-        assert second.designer_runs <= first.designer_runs
-        assert second.design_cache_hits >= first.design_cache_hits
+        # nothing carried over: the second search designs from scratch
+        assert second.designer_runs == first.designer_runs
+        assert second.design_cache_hits == first.design_cache_hits
+
+    def test_memos_released_with_results(self, monkeypatch):
+        """Per-search scoping: while a result is held its winner's analysis
+        stays alive and its program runs; once the results are dropped, no
+        design leaf or analysis any of the searches created survives."""
+        engine = _engine()
+        refs = []
+        init = DesignAnalysis.__init__
+
+        def tracked_init(analysis):
+            init(analysis)
+            refs.append(weakref.ref(analysis))
+
+        monkeypatch.setattr(DesignAnalysis, "__init__", tracked_init)
+        design_phase = engine.builder.design_phase
+
+        def tracked_design(matrix, graph):
+            leaves = design_phase(matrix, graph)
+            refs.extend(weakref.ref(leaf) for leaf in leaves)
+            return leaves
+
+        monkeypatch.setattr(engine.builder, "design_phase", tracked_design)
+        matrices = [
+            banded_matrix(256, bandwidth=3, seed=1, name="keep_a"),
+            power_law_matrix(256, avg_degree=6, seed=2, name="keep_b"),
+            lp_like_matrix(200, seed=3, name="keep_c"),
+        ]
+        results = [engine.search(m) for m in matrices]
+        assert refs
+        gc.collect()
+        for matrix, result in zip(matrices, results):
+            assert result.best_program is not None
+            winner = weakref.ref(result.best_program.analysis)
+            assert winner() is not None
+            x = np.random.default_rng(5).random(matrix.n_cols)
+            np.testing.assert_allclose(
+                result.best_program.run(x, A100).y,
+                matrix.spmv_reference(x), rtol=1e-9, atol=1e-9,
+            )
+        del results, result, winner
+        gc.collect()
+        alive = [ref for ref in refs if ref() is not None]
+        assert not alive, f"{len(alive)} of {len(refs)} memo objects outlived"

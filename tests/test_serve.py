@@ -20,8 +20,8 @@ def store(tmp_path):
     return DesignStore(tmp_path / "store")
 
 
-def frontend(store, jobs=1, budget=BUDGET):
-    return Frontend(A100, store, budget=budget, jobs=jobs)
+def frontend(store, budget=BUDGET):
+    return Frontend(A100, store, budget=budget)
 
 
 MATRIX_A = banded_matrix(192, bandwidth=3, seed=1, name="a")
@@ -92,7 +92,7 @@ class TestTiers:
 
 class TestBatch:
     def test_batch_resolution_order_and_dedup(self, store):
-        with frontend(store, jobs=2) as fe:
+        with frontend(store) as fe:
             fe.resolve(MATRIX_A)  # seed the store
             responses = fe.resolve_batch([MATRIX_A, MATRIX_B, MATRIX_C])
             assert [r.matrix_name for r in responses] == ["a", "b", "c"]
@@ -106,7 +106,7 @@ class TestBatch:
         matrices = [MATRIX_A, MATRIX_B, MATRIX_C]
         with frontend(DesignStore(tmp_path / "s1")) as fe:
             sequential = [fe.resolve(m) for m in matrices]
-        with frontend(DesignStore(tmp_path / "s2"), jobs=2) as fe:
+        with frontend(DesignStore(tmp_path / "s2")) as fe:
             batched = fe.resolve_batch(matrices)
         for a, b in zip(sequential, batched):
             assert (a.source, a.gflops, a.neighbour_of) == (
@@ -118,7 +118,7 @@ class TestBatch:
     def test_batch_neighbour_chaining_matches_sequential(self, tmp_path):
         """Donor chaining inside one batch: request N must be able to
         transfer from request N-1's freshly written result, exactly like
-        sequential resolution (and deterministically for any jobs)."""
+        sequential resolution."""
         donor = banded_matrix(160, bandwidth=3, seed=7, name="d")
         mid = banded_matrix(200, bandwidth=3, seed=8, name="m200")
         near_mid = banded_matrix(208, bandwidth=3, seed=9, name="m208")
@@ -130,16 +130,14 @@ class TestBatch:
         # m208 is closer to m200 than to d — sequential chains on it
         assert sequential[1].neighbour_of == "m200"
 
-        for jobs in (1, 2):
-            with frontend(DesignStore(tmp_path / f"b{jobs}"),
-                          jobs=jobs) as fe:
-                fe.resolve(donor)
-                batched = fe.resolve_batch([mid, near_mid])
-            assert [
-                (r.source, r.gflops, r.neighbour_of) for r in batched
-            ] == [
-                (r.source, r.gflops, r.neighbour_of) for r in sequential
-            ]
+        with frontend(DesignStore(tmp_path / "batch")) as fe:
+            fe.resolve(donor)
+            batched = fe.resolve_batch([mid, near_mid])
+        assert [
+            (r.source, r.gflops, r.neighbour_of) for r in batched
+        ] == [
+            (r.source, r.gflops, r.neighbour_of) for r in sequential
+        ]
 
     def test_search_tier_reproducible_across_frontends(self, tmp_path):
         """The fallback search seeds from matrix *content*, so what a
@@ -168,6 +166,5 @@ class TestStatsAndBudget:
             assert delta.hit_rate == 1.0
 
     def test_default_serve_budget_is_bounded(self):
-        budget = default_serve_budget(jobs=3)
+        budget = default_serve_budget()
         assert budget.max_total_evals < SearchBudget().max_total_evals
-        assert budget.jobs == 3

@@ -213,8 +213,8 @@ class TestFrontendBatchIsolation:
 
     def test_transient_failure_recovers_fully(self, tmp_path):
         matrices = _mats(3)
-        # one failure only: the sharded exact pass eats it, the ordered
-        # loop then resolves the request normally
+        # one failure only: the exact read eats it, the fallback ladder
+        # then resolves the request normally
         with self._frontend(tmp_path, [matrices[1]], fails=1) as frontend:
             responses = frontend.resolve_batch(matrices)
         _assert_all_answered(matrices, responses)

@@ -34,14 +34,8 @@ BUDGET = SearchBudget(
 )
 
 
-def search_once(matrix, store=None, seed=3, jobs=1):
-    budget = SearchBudget(
-        max_structures=BUDGET.max_structures,
-        coarse_evals_per_structure=BUDGET.coarse_evals_per_structure,
-        max_total_evals=BUDGET.max_total_evals,
-        jobs=jobs,
-    )
-    with SearchEngine(A100, budget=budget, seed=seed, store=store) as engine:
+def search_once(matrix, store=None, seed=3):
+    with SearchEngine(A100, budget=BUDGET, seed=seed, store=store) as engine:
         return engine.search(matrix)
 
 
@@ -252,13 +246,6 @@ class TestWarmStart:
         assert history_identity(cold) == history_identity(baseline)
         assert history_identity(warm) == history_identity(baseline)
         assert warm.best_gflops == baseline.best_gflops
-
-    def test_warm_start_parallel_identical(self, tmp_path, matrix, baseline):
-        root = tmp_path / "store"
-        search_once(matrix, store=DesignStore(root))
-        warm = search_once(matrix, store=DesignStore(root), jobs=4)
-        assert warm.designer_runs == 0
-        assert history_identity(warm) == history_identity(baseline)
 
     def test_failed_designs_warm_start_too(self, tmp_path):
         """Zero Designer runs requires replaying stored *failures* as well:
