@@ -70,12 +70,10 @@ class CorpusRunner:
     ``engine`` may be injected to share one engine beyond one runner; an
     injected engine is the caller's to close.
 
-    ``design_store`` additionally persists every search to a
-    :class:`~repro.store.design.DesignStore`: designs are written through
-    the engine (warm-starting later runs) and each matrix's winning
-    result+artifact is recorded, so a corpus run doubles as a serving
-    warm-up.  The store never changes what is measured — records stay
-    byte-identical with or without it.
+    ``design_store`` additionally records each matrix's winning
+    result+artifact in a :class:`~repro.store.design.DesignStore`, so a
+    corpus run doubles as a serving warm-up.  The store never changes what
+    is measured — records stay byte-identical with or without it.
     """
 
     def __init__(
@@ -106,7 +104,6 @@ class CorpusRunner:
             gpu,
             budget=budget,
             seed=seed,
-            store=design_store,
             workload=workload,
             enable_static_pruning=static_pruning,
             warm_start_store=design_store if warm_start else None,

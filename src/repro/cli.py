@@ -37,12 +37,13 @@ PATH`` persists per-matrix results incrementally so an interrupted run
 picks up where it stopped.  ``@corpus:N`` expands to the first N matrices
 of the built-in deterministic corpus (``@corpus:K-N`` for a shard).
 
-``--store DIR`` (search/bench) persists designs and results to an
-on-disk :class:`~repro.store.design.DesignStore`: a later search of the
-same matrix — even in a new process — warm-starts with zero Designer
-runs.  ``--warm-start`` additionally seeds each search's candidate
-stream with the store's nearest-neighbour *winning* design (cross-matrix
-transfer — a corpus run's earlier matrices warm-start its later ones).
+``--store DIR`` (search/bench) records each finished search — winning
+graph, GFLOPS and exported artifact — in an on-disk
+:class:`~repro.store.design.DesignStore`, so ``serve`` answers that
+matrix from the store without searching.  ``--warm-start`` additionally
+seeds each search's candidate stream with the store's nearest-neighbour
+*winning* design (cross-matrix transfer — a corpus run's earlier
+matrices warm-start its later ones).
 ``serve`` answers requests store-first (exact hit → feature
 nearest-neighbour transfer → bounded fresh search); with ``--workers N``
 it serves through a supervised multi-process resolver pool (crashed
@@ -86,7 +87,7 @@ from repro.serve import Frontend, default_serve_budget
 from repro.sparse import NAMED_MATRICES, corpus, named_matrix, read_matrix_market
 from repro.sparse.matrix import SparseMatrix
 from repro.staticcheck import Severity, Verdict, analyze_design, audit_store
-from repro.store import DesignStore, StoreError, search_result_record
+from repro.store import DesignStore, StoreError, open_store, search_result_record
 from repro.workloads import WORKLOADS, Workload, get_workload
 
 __all__ = ["main"]
@@ -186,9 +187,6 @@ def _search_single(engine, matrix, spec, gpu, args) -> int:
     if result.sampler != "annealer":
         print(f"sampler: {result.sampler}, {result.sampler_pruned} "
               "candidates pruned by successive halving")
-    if engine.store is not None:
-        print(f"design store: {result.store_hits} designs loaded / "
-              f"{result.store_misses} designed ({args.store})")
     if engine.warm_start_store is not None:
         print(f"warm start: {result.warm_start_hits} stored design(s) "
               "seeded the candidate stream")
@@ -322,10 +320,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"in {stats.wall_s:.1f}s"
           + (f"; results persisted to {args.resume}" if args.resume else ""))
     if design_store is not None:
-        ds = design_store.stats()
-        print(f"design store: {ds.design_writes} designs + "
-              f"{ds.result_writes} results written, "
-              f"{ds.design_hits} designs warm-started ({args.store})")
+        print(f"design store: {design_store.stats().result_writes} "
+              f"results written ({args.store})")
     print()
     print(render_corpus_report(
         result.records,
@@ -345,7 +341,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.serve import ResolverPool
-    from repro.store import open_store
 
     matrices = [_load_matrix(spec) for spec in args.matrix]
     gpu = gpu_by_name(args.gpu)
@@ -417,8 +412,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     """Maintenance subcommands over one store directory
     (ls/gc/verify/compact), backend-dispatched via ``open_store``."""
-    from repro.store import open_store
-
     try:
         store = open_store(args.path, create=False)
     except StoreError as exc:
@@ -430,10 +423,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
                   "uses the directory backend")
             return 2
         info = store.compact()
-        print(f"compacted to epoch {info['epoch']}: {info['designs']} designs"
-              f" + {info['results']} results + {info['claims']} claims in "
-              f"the snapshot, {info['reclaimed_bytes']} journal bytes "
-              f"reclaimed")
+        print(f"compacted to epoch {info['epoch']}: {info['results']} "
+              f"results + {info['claims']} claims in the snapshot, "
+              f"{info['reclaimed_bytes']} journal bytes reclaimed")
         return 0
     if args.action == "ls":
         entries = store.entries()
@@ -459,13 +451,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 print(f"quarantined {name}: {reason}")
         return 1 if bad else 0
     # gc
-    removed_corrupt, removed_unreferenced = store.gc()
+    removed_corrupt, removed_designs = store.gc()
     for name in removed_corrupt:
         print(f"removed corrupt entry {name}")
-    for name in removed_unreferenced:
-        print(f"removed unreferenced design {name}")
+    for name in removed_designs:
+        print(f"removed legacy design entry {name}")
     print(f"gc: {len(removed_corrupt)} corrupt + "
-          f"{len(removed_unreferenced)} unreferenced entries removed, "
+          f"{len(removed_designs)} legacy design entries removed, "
           f"{len(store)} kept")
     return 0
 
@@ -598,7 +590,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     """Static verifier entry point: store audit or space self-check."""
     if args.store:
         try:
-            store = DesignStore(args.store, create=False)
+            store = open_store(args.store, create=False)
         except StoreError as exc:
             print(f"error: {exc}")
             return 2
@@ -731,9 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "ignores it)")
     p.add_argument("--out", default=None, help="export artifact directory")
     p.add_argument("--store", default=None, metavar="DIR",
-                   help="persistent design store: designs/results are "
-                        "written through, and a repeat search of the same "
-                        "matrix warm-starts with zero Designer runs")
+                   help="persistent design store: each finished search's "
+                        "result and artifact are recorded there, so serve "
+                        "answers the matrix without searching")
     p.add_argument("--warm-start", action="store_true",
                    help="seed the candidate stream with the store's "
                         "nearest-neighbour winning design (requires "
@@ -771,8 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="persist per-matrix results to PATH (JSON) as they "
                         "finish and skip matrices already recorded there")
     p.add_argument("--store", default=None, metavar="DIR",
-                   help="also populate a persistent design store (designs "
-                        "+ winning artifacts) for warm starts and serving")
+                   help="also record each matrix's winning result and "
+                        "artifact in a persistent design store, for "
+                        "--warm-start and serving")
     p.add_argument("--warm-start", action="store_true",
                    help="seed each matrix's search with the store's "
                         "nearest-neighbour winning design (requires "
@@ -824,8 +817,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(ls / gc / verify / compact)",
     )
     p.add_argument("action", choices=("ls", "gc", "verify", "compact"),
-                   help="ls: list entries; gc: prune corrupt + "
-                        "unreferenced entries; verify: integrity-check "
+                   help="ls: list entries; gc: prune corrupt entries, "
+                        "claims and legacy design entries; verify: "
+                        "integrity-check "
                         "every entry (exit 1 on corruption); compact: "
                         "fold a journal-backend store into a snapshot "
                         "and reset its log")
@@ -833,8 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repair", action="store_true",
                    help="with verify: quarantine every failing entry "
                         "(directory backend moves files to corrupt/; "
-                        "journal backend drops the records and compacts "
-                        "away framing damage)")
+                        "journal backend compacts away damaged records)")
     p.set_defaults(func=_cmd_store)
 
     p = sub.add_parser(

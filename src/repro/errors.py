@@ -12,10 +12,10 @@ both sides agree on *why*.
 
 Codes are part of the public contract (documented in the README's "Static
 checking" section); the message text is not — but note that error strings
-are embedded in :meth:`EvalRecord.identity` digests and persisted by the
-design store, so changing a message is a byte-identity break while adding
-a code is not.  ``str(exc)`` therefore stays exactly the message, with the
-code riding along as an attribute.
+are embedded in :meth:`EvalRecord.identity` digests, so changing a
+message is a byte-identity break while adding a code is not.
+``str(exc)`` therefore stays exactly the message, with the code riding
+along as an attribute.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class DiagnosableError(ValueError):
     """A :class:`ValueError` carrying a stable diagnostic ``code``.
 
     ``str(exc)`` is exactly ``message`` — codes never leak into the text,
-    because error strings participate in search-history and design-store
-    byte-identity contracts.
+    because error strings participate in the search-history byte-identity
+    contract.
     """
 
     #: Fallback when a raise site predates the taxonomy (or an error is

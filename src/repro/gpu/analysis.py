@@ -56,11 +56,8 @@ __all__ = [
 def content_digest(*parts: object) -> str:
     """blake2b-128 content address of arrays / bytes / strings.
 
-    Shared by the leaf analyses, the engine's verify keys, the matrix
-    token and the persistent design store's key scheme — one digest
-    function everywhere means a design hydrated from the store lands on
-    exactly the keys an in-process design would have, so its leaf
-    analysis fills identically either way.
+    Shared by the leaf analyses, the engine's verify keys and the matrix
+    token the store files results under.
     """
     h = hashlib.blake2b(digest_size=16)
     for part in parts:

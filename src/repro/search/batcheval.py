@@ -48,6 +48,7 @@ from repro.core.designer import DesignError
 from repro.core.graph import GraphValidationError
 from repro.core.kernel.builder import (
     BuildError,
+    KernelBuilder,
     RUNTIME_PARAM_OPS,
     design_signature,
     runtime_nodes_for_leaf,
@@ -187,14 +188,15 @@ class AssembledGroup:
 class BatchEvaluator:
     """Evaluates design groups of candidates, one pass per group.
 
-    Built once per engine from its staged evaluator; everything memoized
+    Built once per engine from its kernel builder; everything memoized
     across groups lives in the per-search state passed to each call, and
     each group's representative graph is private to the call.
     """
 
-    def __init__(self, evaluator, gpu: GPUSpec, workload: Workload) -> None:
-        self.evaluator = evaluator
-        self.builder = evaluator.builder
+    def __init__(
+        self, builder: KernelBuilder, gpu: GPUSpec, workload: Workload
+    ) -> None:
+        self.builder = builder
         self.gpu = gpu
         self.workload = workload
 
@@ -234,7 +236,7 @@ class BatchEvaluator:
             signature = design_signature(rep)
             leaves = state.design_leaves(
                 signature,
-                lambda: self.evaluator.design(matrix, rep, state.token, signature),
+                lambda: self.builder.design_phase(matrix, rep),
             )
         except EVAL_ERRORS as exc:
             group.errors = [f"{type(exc).__name__}: {exc}"] * n

@@ -19,7 +19,8 @@ The engine itself holds no per-search mutable state — schedules and RNGs
 are created per call too — so one engine can drive many searches,
 including the collection-level :meth:`SearchEngine.search_many` loop
 used by the CLI and the benchmark harness, without holding any earlier
-matrix's arrays.
+matrix's arrays.  Nothing a search designs is persisted either: callers
+that own a store write only finished results to it.
 """
 
 from __future__ import annotations
@@ -167,10 +168,6 @@ class SearchResult:
     analysis_cache_hits: int = 0
     analysis_cache_misses: int = 0
     stage_times: Dict[str, float] = field(default_factory=dict)
-    #: persistent design-store counters (design-level lookups during this
-    #: search): hits are designs hydrated from disk instead of designed.
-    store_hits: int = 0
-    store_misses: int = 0
     #: name of the workload this search tuned for, plus its dense-column
     #: count (kept directly so results of unregistered custom workloads
     #: still price themselves).
@@ -221,7 +218,6 @@ class _SearchState:
 
     start: float
     budget: SearchBudget
-    token: Tuple
     x: np.ndarray
     reference: np.ndarray
     #: content key of (x, reference) under which design-level numeric
@@ -241,7 +237,7 @@ class _SearchState:
     #: but never grid_threads, so candidates differing only in work grain
     #: share one verdict.
     static_memo: Dict[Tuple, bool] = field(default_factory=dict)
-    #: Designer outcomes per design signature (the matrix token is fixed
+    #: Designer outcomes per design signature (the matrix is fixed
     #: within a search): the leaves, or the message of the
     #: :class:`DesignError` a structurally invalid design raised.
     designs: Dict[Tuple, Union[List[DesignLeaf], str]] = field(
@@ -369,14 +365,15 @@ class SearchEngine:
         self.builder = KernelBuilder(
             compressor=ModelDrivenCompressor(), workload=self.workload
         )
-        #: persistent design store (None = in-memory only): searches read
-        #: stored designs through and write every Designer outcome back,
-        #: so a later *process* warm-starts.
+        #: never read or written by a search; held only so callers can
+        #: persist results through ``engine.store`` (the CLI does).  Kept
+        #: because perfbench's serve priming passes ``store=``; once it
+        #: stops, delete the keyword and let the CLI hold its store.
         self.store = store
-        self.evaluator = StagedEvaluator(self.builder, store=store, arch=gpu.name)
+        self.evaluator = StagedEvaluator(self.builder)
         #: group evaluator: candidates sharing a design signature evaluate
         #: as one vectorized pass (see :mod:`repro.search.batcheval`).
-        self.batch = BatchEvaluator(self.evaluator, gpu, self.workload)
+        self.batch = BatchEvaluator(self.builder, gpu, self.workload)
         #: store consulted for cross-matrix warm starts (None = off): each
         #: search seeds itself from the closest prior winner's graph,
         #: injected as an iteration-0 candidate before the ask/tell loop.
@@ -419,7 +416,6 @@ class SearchEngine:
     ) -> SearchResult:
         start = time.perf_counter()
         rng = np.random.default_rng(self.seed if seed is None else seed)
-        store_before = self.store.stats() if self.store is not None else None
         designer_before = self.builder.designer.executions
         banned = (
             self.pruning.ban_list(matrix.stats) if self.enable_pruning else set()
@@ -454,7 +450,6 @@ class SearchEngine:
         state = _SearchState(
             start=start,
             budget=self.budget,
-            token=self.workload.scope_token(matrix_token(matrix)),
             x=x,
             reference=reference,
             verify_key=content_digest(x, reference),
@@ -518,11 +513,6 @@ class SearchEngine:
             ml_mad = self._ml_level(matrix, state, structure_store, rng)
 
         designer_runs = self.builder.designer.executions - designer_before
-        store_delta = (
-            self.store.stats().since(store_before)
-            if store_before is not None
-            else None
-        )
         return SearchResult(
             matrix_name=matrix.name,
             gpu_name=self.gpu.name,
@@ -542,8 +532,6 @@ class SearchEngine:
             analysis_cache_hits=state.analysis_hits,
             analysis_cache_misses=len(state.analyses),
             stage_times=dict(sorted(state.stage_times.items())),
-            store_hits=store_delta.design_hits if store_delta else 0,
-            store_misses=store_delta.design_misses if store_delta else 0,
             workload=self.workload.name,
             workload_k=self.workload.k,
             static_pruned=state.static_pruned,

@@ -17,9 +17,8 @@ tiers, cheapest first:
    verify it.  One candidate evaluation instead of hundreds — and the
    transferred result is written back, so it becomes an exact hit next
    time.
-3. **Bounded fresh search** — fall back to a real (budget-capped) search
-   through the store-backed engine; the result (and every design the
-   search produced) is persisted for future requests.
+3. **Bounded fresh search** — fall back to a real (budget-capped) search;
+   its result is persisted for future requests.
 
 Resolution is also the unit of *graceful degradation*: every tier has a
 numeric rank (``TIER_SEARCH`` > ``TIER_NEIGHBOUR`` > ``TIER_EXACT`` >
@@ -192,7 +191,7 @@ class Frontend:
 
     ``engine`` may be injected to share one engine beyond one frontend
     (an injected engine is the caller's to close); otherwise the frontend
-    owns a store-backed engine built from ``budget``.
+    owns an engine built from ``budget``.
     """
 
     def __init__(
@@ -219,7 +218,6 @@ class Frontend:
             gpu,
             budget=budget or default_serve_budget(),
             seed=seed,
-            store=store,
             workload=workload,
         )
         #: the operation requests are resolved for: store lookups are
@@ -473,7 +471,7 @@ class Frontend:
             graph = OperatorGraph.from_dict(donor["graph"])
         except (KeyError, TypeError, ValueError, GraphValidationError):
             return None
-        evaluated = self._evaluate_transfer(matrix, token, graph)
+        evaluated = self._evaluate_transfer(matrix, graph)
         if evaluated is None:
             return None
         gflops, program = evaluated
@@ -520,9 +518,7 @@ class Frontend:
             return None
         return self.store.result_payload(digest)
 
-    def _evaluate_transfer(
-        self, matrix: SparseMatrix, token: Tuple, graph: OperatorGraph
-    ):
+    def _evaluate_transfer(self, matrix: SparseMatrix, graph: OperatorGraph):
         """Build + run + numerically verify one transplanted design.
 
         A donor graph is a full candidate (structure + parameters); it may
@@ -531,9 +527,7 @@ class Frontend:
         x = self.workload.make_operand(matrix)
         reference = self.workload.reference(matrix, x)
         try:
-            program = self.engine.evaluator.build(
-                matrix, graph, token=self.workload.scope_token(token)
-            )
+            program = self.engine.evaluator.build(matrix, graph)
             result = program.run(x, self.gpu, workload=self.workload)
         except (DesignError, BuildError, PlanValidationError, GraphValidationError):
             return None

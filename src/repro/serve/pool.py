@@ -8,7 +8,7 @@ I/O errors.  The design:
 
 * **N resolver workers**, each a forked process owning its *own* store
   handle (journal-backend file locking mediates the shared file) and its
-  own store-backed search engine.  Each worker talks to the supervisor
+  own frontend and search engine.  Each worker talks to the supervisor
   over a **private duplex pipe** — deliberately *not* a shared queue:
   shared ``multiprocessing.Queue`` locks are held briefly by whichever
   process is sending, so killing a worker at the wrong instant would

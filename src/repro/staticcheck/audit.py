@@ -3,10 +3,10 @@
 The store outlives the code that wrote it, so this pass replays the other
 two static passes over everything it persisted: entry integrity (the
 store's own ``verify``), decoded result graphs re-judged by the chain
-analysis, persisted design signatures checked against the live operator
-registry, and every kernel source embedded in a result artifact run
-through the lint.  ``python -m repro check --store`` exits non-zero on
-any error-severity finding.
+analysis against the live operator registry, and every kernel source
+embedded in a result artifact run through the lint.  Either backend
+audits the same way.  ``python -m repro check --store`` exits non-zero
+on any error-severity finding.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.graph import GraphValidationError, OperatorGraph
-from repro.core.operators.base import OPERATOR_REGISTRY
 from repro.errors import (
     STORE_BAD_GRAPH,
     STORE_BAD_WORKLOAD,
@@ -29,11 +28,6 @@ from repro.workloads import WORKLOADS
 
 __all__ = ["audit_store"]
 
-import re
-
-#: Operator-name-shaped tokens inside a persisted design signature repr.
-_SIGNATURE_OPS = re.compile(r"'([A-Z][A-Z0-9_]+)'")
-
 
 def _record_label(record: dict) -> str:
     return f"result:{record.get('name') or '<unnamed>'}@{record.get('arch')}"
@@ -47,7 +41,7 @@ def audit_store(store) -> List[Diagnostic]:
     """
     diagnostics: List[Diagnostic] = []
 
-    # 1. Entry integrity — unreadable, truncated or non-hydrating files.
+    # 1. Entry integrity — unreadable, truncated or edited entries.
     for status in store.verify():
         if status.ok:
             continue
@@ -126,22 +120,4 @@ def audit_store(store) -> List[Diagnostic]:
                             + (f"/{diag.node}" if diag.node else ""),
                         )
                     )
-
-    # 3. Design entries: signatures must only name registered operators —
-    #    a renamed operator strands the entry (it can never be keyed
-    #    again), which is advisory, not fatal.
-    for filename, signature, _payload in store.design_payloads():
-        for token in sorted(set(_SIGNATURE_OPS.findall(signature))):
-            if token in OPERATOR_REGISTRY:
-                continue
-            diagnostics.append(
-                Diagnostic(
-                    STORE_UNKNOWN_OPERATOR,
-                    Severity.WARNING,
-                    f"design signature names unregistered operator {token!r} "
-                    "(stranded entry; gc will not reclaim it until its "
-                    "result is pruned)",
-                    node=f"design:{filename}",
-                )
-            )
     return diagnostics

@@ -1,8 +1,10 @@
 """Persistent design store (see :mod:`repro.store.design`).
 
 Turns one-time search output into durable, content-addressed artifacts:
-design entries warm-start later searches (zero Designer runs in a fresh
-process), result entries let the serving layer answer without searching.
+one result entry per ``(matrix, arch)`` — the winning graph, its GFLOPS,
+feature signature and exported artifact — lets the serving layer answer
+without searching.  Searches themselves never touch a store: they design
+in memory, and only their finished results are written.
 
 Two interchangeable backends hold bit-identical content:
 
@@ -21,20 +23,12 @@ import json
 import os
 from typing import Optional
 
-from repro.store.codec import (
-    decode_leaves,
-    decode_value,
-    encode_leaves,
-    encode_value,
-    key_digest,
-    payload_digest,
-)
+from repro.store.codec import key_digest, payload_digest
 from repro.store.design import (
     SCHEMA_VERSION,
     DesignStore,
     EntryStatus,
     StoreStats,
-    design_entry_doc,
     result_entry_doc,
     result_meta_doc,
 )
@@ -61,13 +55,8 @@ __all__ = [
     "feature_vector",
     "make_result_record",
     "search_result_record",
-    "design_entry_doc",
     "result_entry_doc",
     "result_meta_doc",
-    "encode_leaves",
-    "decode_leaves",
-    "encode_value",
-    "decode_value",
     "key_digest",
     "payload_digest",
 ]

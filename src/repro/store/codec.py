@@ -1,22 +1,9 @@
-"""Exact JSON codec for design-phase artifacts.
+"""Exact JSON codec for arrays, plus the store's digests.
 
-The design store persists Designer output — :class:`~repro.core.designer.DesignLeaf`
-lists whose metadata stores hold numpy arrays, nested dicts, tuples and
-scalars — as JSON.  The warm-start contract is *byte identity*: a search
-hydrated from the store must replay the exact history a cold search
-produces, so every value must round-trip losslessly:
-
-* arrays are encoded as base64 of their raw bytes plus dtype + shape
-  (bit-exact, dtype-preserving — never element lists);
-* tuples are tagged so they come back as tuples (``reduction_steps``
-  entries are compared structurally downstream);
-* numpy scalars keep their dtype via the same raw-bytes encoding;
-* plain ints/floats/bools/strings/None pass through (Python's JSON float
-  repr round-trips doubles exactly).
-
-Anything else is a :class:`~repro.store.errors.StoreError` at encode time —
-better to refuse an exotic user-defined metadata entry than to persist a
-lossy approximation of it.
+Exported artifacts carry their format arrays inline as JSON (see
+:mod:`repro.export`).  An array is encoded as base64 of its raw bytes plus
+dtype + shape, so it round-trips bit-exactly and keeps its dtype — never
+as an element list.
 """
 
 from __future__ import annotations
@@ -24,28 +11,18 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from typing import Dict, List, Sequence
+from typing import Dict
 
 import numpy as np
 
-from repro.core.designer import DesignLeaf
-from repro.core.metadata import MatrixMetadataSet
-from repro.store.errors import StoreError
-
 __all__ = [
     "decode_array",
-    "decode_leaves",
-    "decode_value",
     "encode_array",
-    "encode_leaves",
-    "encode_value",
     "key_digest",
     "payload_digest",
 ]
 
 _ARRAY = "__ndarray__"
-_TUPLE = "__tuple__"
-_SCALAR = "__npscalar__"
 
 
 def encode_array(arr: np.ndarray) -> Dict[str, object]:
@@ -65,90 +42,9 @@ def decode_array(payload: Dict[str, object]) -> np.ndarray:
     raw = base64.b64decode(spec["data"])  # type: ignore[index]
     arr = np.frombuffer(raw, dtype=np.dtype(spec["dtype"]))  # type: ignore[index]
     arr = arr.reshape(tuple(spec["shape"]))  # type: ignore[index]
-    # frombuffer views are read-only; designer output is writable — hand
-    # back the same kind of object a cold design phase would have produced.
+    # frombuffer views are read-only; hand back a writable array, the
+    # same kind of object the exporting process held.
     return arr.copy()
-
-
-def encode_value(value: object) -> object:
-    """Recursively encode one metadata value into JSON-safe form."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, np.ndarray):
-        return encode_array(value)
-    if isinstance(value, np.generic):
-        return {
-            _SCALAR: {
-                "dtype": value.dtype.str,
-                "data": base64.b64encode(value.tobytes()).decode("ascii"),
-            }
-        }
-    if isinstance(value, tuple):
-        return {_TUPLE: [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return [encode_value(v) for v in value]
-    if isinstance(value, dict):
-        out = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise StoreError(
-                    f"cannot persist dict key {key!r} (only string keys)"
-                )
-            if key in (_ARRAY, _TUPLE, _SCALAR):
-                # A plain dict carrying a tag key would decode as the
-                # tagged type — refuse rather than silently corrupt.
-                raise StoreError(
-                    f"cannot persist dict key {key!r} (reserved codec tag)"
-                )
-            out[key] = encode_value(item)
-        return out
-    raise StoreError(f"cannot persist value of type {type(value).__name__}")
-
-
-def decode_value(value: object) -> object:
-    if isinstance(value, dict):
-        if _ARRAY in value:
-            return decode_array(value)  # type: ignore[arg-type]
-        if _TUPLE in value:
-            return tuple(decode_value(v) for v in value[_TUPLE])
-        if _SCALAR in value:
-            spec = value[_SCALAR]
-            raw = base64.b64decode(spec["data"])  # type: ignore[index]
-            return np.frombuffer(raw, dtype=np.dtype(spec["dtype"]))[0]  # type: ignore[index]
-        return {k: decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [decode_value(v) for v in value]
-    return value
-
-
-# ----------------------------------------------------------------------
-# Design leaves
-# ----------------------------------------------------------------------
-def encode_leaves(leaves: Sequence[DesignLeaf]) -> List[Dict[str, object]]:
-    """JSON form of a design-phase result (one entry per leaf)."""
-    encoded = []
-    for leaf in leaves:
-        meta = {key: encode_value(leaf.meta.get(key)) for key in leaf.meta.keys()}
-        encoded.append(
-            {"branch_path": list(leaf.branch_path), "meta": meta}
-        )
-    return encoded
-
-
-def decode_leaves(payload: Sequence[Dict[str, object]]) -> List[DesignLeaf]:
-    leaves = []
-    for entry in payload:
-        store = {
-            key: decode_value(value)
-            for key, value in entry["meta"].items()  # type: ignore[union-attr]
-        }
-        leaves.append(
-            DesignLeaf(
-                meta=MatrixMetadataSet(store),
-                branch_path=tuple(entry["branch_path"]),  # type: ignore[arg-type]
-            )
-        )
-    return leaves
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +54,7 @@ def key_digest(*parts: object) -> str:
     """Content address of a store key: blake2b-128 over the parts' reprs.
 
     Keys are built from hashable deterministic-repr values (matrix tokens,
-    design signatures, arch names); ``repr`` of those is canonical.
+    arch names, claim keys); ``repr`` of those is canonical.
     """
     h = hashlib.blake2b(digest_size=16)
     for part in parts:

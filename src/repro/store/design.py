@@ -1,40 +1,38 @@
-"""Persistent, content-addressed design store.
+"""Persistent, content-addressed store of finished search results.
 
 A one-time AlphaSparse search yields a reusable machine-designed
-format+kernel per matrix — but every in-process cache dies with the
-process.  The :class:`DesignStore` turns search results into durable
-artifacts:
+format+kernel per matrix — but every in-process memo dies with the
+process.  The :class:`DesignStore` persists the one output worth keeping:
 
-**Design entries** persist Designer output keyed on
-``(matrix token, design signature, arch name)`` — a search's design-memo
-key plus the matrix and the architecture — so a second search of the same matrix *in a different process* warm-starts
-from stored designs and performs zero Designer runs.  Failed designs
-(:class:`~repro.core.designer.DesignError`) are stored too; replaying the
-failure is as load-bearing for byte-identical histories as replaying a
-success.
-
-**Result entries** persist one finished search per ``(matrix, arch)``:
-the winning Operator Graph, its measured GFLOPS, the matrix's feature
+**Result entries** hold one finished search per ``(matrix, arch)``: the
+winning Operator Graph, its measured GFLOPS, the matrix's feature
 signature (nearest-neighbour serving) and the exported artifact payload
-(everything :func:`repro.export.export_program` writes, inline).
+(everything :func:`repro.export.export_program` writes, inline).  A
+stored matrix is answered from its result record; nothing the Designer
+produces on the way is persisted — the search rebuilds any intermediate
+design in milliseconds, far less than writing it would cost.
 
 Layout — one directory, sharded one-file-per-entry::
 
     <root>/store.json            header: {"schema": N, "kind": "design-store"}
-    <root>/designs/<digest>.json
     <root>/results/<digest>.json
+    <root>/results/<digest>.meta  nearest-neighbour sidecar
+    <root>/claims/<digest>.json   at-most-once search fences
+
+Stores written by earlier revisions may also hold a ``designs/`` tree of
+Designer outputs; nothing reads it, and :meth:`DesignStore.gc` deletes it.
 
 Every write goes through a temp file + ``os.replace`` (the
 ``bench.ResultStore`` atomicity pattern), and distinct keys live in
 distinct files, so concurrent writers — two engines sharing one store
 path, or one engine racing a crash — can never corrupt each other: the
-worst outcome of a race on the *same* key is that identical content is
-replaced by identical content.  A store whose header schema does not match
-this revision raises :class:`~repro.store.errors.StoreVersionError` up
-front; an individually corrupt or truncated entry file is treated as a
-cache miss (counted in :attr:`StoreStats.corrupt`) so serving degrades
-instead of failing.  On first detection the damaged file is *quarantined*
-— moved to a ``corrupt/`` sibling directory (``STORE-QUARANTINED`` in the
+worst outcome of a race on the *same* key is that one complete entry
+replaces another.  A store whose header schema does not match this
+revision raises :class:`~repro.store.errors.StoreVersionError` up front;
+an individually corrupt or truncated entry file is treated as a miss
+(counted in :attr:`StoreStats.corrupt`) so serving degrades instead of
+failing.  On first detection the damaged file is *quarantined* — moved to
+a ``corrupt/`` sibling directory (``STORE-QUARANTINED`` in the
 :mod:`repro.errors` taxonomy) — so the store never re-reads known damage,
 a later write of the same key heals cleanly, and the evidence survives for
 post-mortems; ``verify --repair`` quarantines in bulk and ``gc`` prunes.
@@ -49,19 +47,14 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.designer import DesignLeaf
 from repro.reliability.faults import FaultInjector, FaultPlan
-from repro.store.codec import (
-    decode_leaves,
-    encode_leaves,
-    key_digest,
-    payload_digest,
-)
+from repro.store.codec import key_digest, payload_digest
 from repro.store.errors import StoreError, StoreVersionError
 
 __all__ = [
@@ -69,7 +62,6 @@ __all__ = [
     "StoreStats",
     "EntryStatus",
     "SCHEMA_VERSION",
-    "design_entry_doc",
     "result_entry_doc",
     "result_meta_doc",
 ]
@@ -77,7 +69,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _HEADER = "store.json"
-_KINDS = ("designs", "results")
+_RESULTS = "results"
+#: Designer-output tree of stores written by earlier revisions (gc deletes it)
+_LEGACY_DESIGNS = "designs"
 _QUARANTINE = "corrupt"
 _CLAIMS = "claims"
 
@@ -93,29 +87,14 @@ def _matrix_fields(token: Tuple) -> Dict[str, object]:
     }
 
 
-def design_entry_doc(
-    token: Tuple, signature: Tuple, arch: str, payload: Dict[str, object]
-) -> Dict[str, object]:
-    """The canonical design entry document.
+def result_entry_doc(token: Tuple, arch: str, record: Dict) -> Dict[str, object]:
+    """The canonical result entry document.
 
     Shared by both backends — the directory store writes it as one file,
     the journal store embeds it in a log record — so stored *content* is
     bit-identical regardless of backend (asserted by the differential
     suite in ``tests/test_journal_store.py``).
     """
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "design",
-        "arch": arch,
-        "matrix": _matrix_fields(token),
-        "signature": repr(signature),
-        "payload_digest": payload_digest(payload),
-        "payload": payload,
-    }
-
-
-def result_entry_doc(token: Tuple, arch: str, record: Dict) -> Dict[str, object]:
-    """The canonical result entry document (see :func:`design_entry_doc`)."""
     return {
         "schema": SCHEMA_VERSION,
         "kind": "result",
@@ -145,39 +124,32 @@ def result_meta_doc(arch: Optional[str], record: Dict) -> Dict:
     return meta
 
 
+def result_detail(record: Dict) -> str:
+    """``ls``/``verify`` detail column of one result record."""
+    gflops = record.get("best_gflops")
+    via = record.get("via", "search")
+    if isinstance(gflops, (int, float)):
+        return f"{gflops:.1f} GFLOPS via {via}"
+    return via
+
+
 @dataclass(frozen=True)
 class StoreStats:
-    """Counters of one :class:`DesignStore` handle (hit/miss/write per
-    entry kind, plus corrupt entries encountered), ``since``-comparable
-    like the in-memory cache stats."""
+    """Counters of one store handle: result hits/misses/writes, plus
+    corrupt entries encountered and quarantined."""
 
-    design_hits: int = 0
-    design_misses: int = 0
-    design_writes: int = 0
     result_hits: int = 0
     result_misses: int = 0
     result_writes: int = 0
     corrupt: int = 0
     quarantined: int = 0
 
-    def since(self, other: "StoreStats") -> "StoreStats":
-        return StoreStats(
-            design_hits=self.design_hits - other.design_hits,
-            design_misses=self.design_misses - other.design_misses,
-            design_writes=self.design_writes - other.design_writes,
-            result_hits=self.result_hits - other.result_hits,
-            result_misses=self.result_misses - other.result_misses,
-            result_writes=self.result_writes - other.result_writes,
-            corrupt=self.corrupt - other.corrupt,
-            quarantined=self.quarantined - other.quarantined,
-        )
-
 
 @dataclass(frozen=True)
 class EntryStatus:
     """One entry's integrity verdict (``verify`` / ``ls``)."""
 
-    kind: str  # "design" | "result"
+    kind: str  # "result" | "journal"
     filename: str
     ok: bool
     matrix: str
@@ -193,7 +165,7 @@ class _CorruptEntry(Exception):
 
 
 class DesignStore:
-    """On-disk content-addressed store of designs and search results."""
+    """On-disk content-addressed store of finished search results."""
 
     def __init__(
         self,
@@ -249,8 +221,7 @@ class DesignStore:
             )
         else:
             raise StoreError(f"no design store at {self.path!r}")
-        for kind in _KINDS:
-            os.makedirs(os.path.join(self.path, kind), exist_ok=True)
+        os.makedirs(os.path.join(self.path, _RESULTS), exist_ok=True)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -267,13 +238,13 @@ class DesignStore:
             )
 
     def __len__(self) -> int:
-        return sum(len(self._list(kind)) for kind in _KINDS)
+        return len(self._list(_RESULTS))
 
     # ------------------------------------------------------------------
     # Low-level entry I/O
     # ------------------------------------------------------------------
-    def _entry_path(self, kind: str, digest: str) -> str:
-        return os.path.join(self.path, kind, f"{digest}.json")
+    def _entry_path(self, digest: str) -> str:
+        return os.path.join(self.path, _RESULTS, f"{digest}.json")
 
     def _list(self, kind: str) -> List[str]:
         directory = os.path.join(self.path, kind)
@@ -299,8 +270,8 @@ class DesignStore:
                 os.unlink(tmp)
             raise
 
-    def _read_entry(self, path: str, kind: str) -> Dict:
-        """Load + integrity-check one entry file; raises _CorruptEntry."""
+    def _read_entry(self, path: str) -> Dict:
+        """Load + integrity-check one result entry; raises _CorruptEntry."""
         try:
             if self.faults is not None:
                 self.faults.maybe_slow("read", path)
@@ -317,52 +288,15 @@ class DesignStore:
             raise _CorruptEntry(
                 f"entry schema {entry.get('schema')!r} != {SCHEMA_VERSION}"
             )
-        if entry.get("kind") != kind:
+        if entry.get("kind") != "result":
             raise _CorruptEntry(
-                f"entry kind {entry.get('kind')!r}, expected {kind!r}"
+                f"entry kind {entry.get('kind')!r}, expected 'result'"
             )
         if "payload" not in entry or "payload_digest" not in entry:
             raise _CorruptEntry("entry has no payload")
         if payload_digest(entry["payload"]) != entry["payload_digest"]:
             raise _CorruptEntry("payload digest mismatch (truncated or edited)")
         return entry
-
-    # ------------------------------------------------------------------
-    # Design entries
-    # ------------------------------------------------------------------
-    def design_digest(self, token: Tuple, signature: Tuple, arch: str) -> str:
-        return key_digest("design", token, signature, arch)
-
-    def get_design(
-        self, token: Tuple, signature: Tuple, arch: str
-    ) -> Optional[Tuple[str, object]]:
-        """Stored design-phase outcome, or None on miss/corruption.
-
-        Returns ``("ok", leaves)`` for a stored success and
-        ``("error", message)`` for a stored :class:`DesignError` — the
-        caller replays the failure exactly like the in-memory cache does.
-        """
-        path = self._entry_path(
-            "designs", self.design_digest(token, signature, arch)
-        )
-        if not os.path.exists(path):
-            self._bump(design_misses=1)
-            return None
-        try:
-            entry = self._read_entry(path, "design")
-            payload = entry["payload"]
-            if entry.get("matrix", {}).get("digest") != token[-1]:
-                raise _CorruptEntry("matrix digest does not match key")
-            if payload.get("status") == "error":
-                outcome: Tuple[str, object] = ("error", str(payload["message"]))
-            else:
-                outcome = ("ok", decode_leaves(payload["leaves"]))
-        except (_CorruptEntry, KeyError, TypeError, ValueError) as exc:
-            self._bump(design_misses=1, corrupt=1)
-            self._quarantine(path, str(exc))
-            return None
-        self._bump(design_hits=1)
-        return outcome
 
     def _quarantine(self, path: str, reason: str) -> bool:
         """Move a corrupt entry to ``corrupt/`` on first detection.
@@ -388,33 +322,27 @@ class DesignStore:
             )
         return True
 
-    def put_design(
-        self,
-        token: Tuple,
-        signature: Tuple,
-        arch: str,
-        leaves: Optional[Sequence[DesignLeaf]] = None,
-        error: Optional[str] = None,
-    ) -> None:
-        """Persist one design-phase outcome (success or DesignError).
+    def _read_or_quarantine(self, path: str) -> Optional[Dict]:
+        """One entry read: the entry, or None after quarantining damage."""
+        try:
+            return self._read_entry(path)
+        except _CorruptEntry as exc:
+            self._bump(corrupt=1)
+            self._quarantine(path, exc.reason)
+            return None
 
-        First writer wins: an existing entry for the key is left alone —
-        design output is a deterministic function of the key, so a racing
-        second writer would only replace identical content.
-        """
-        if (leaves is None) == (error is None):
-            raise StoreError("put_design takes exactly one of leaves/error")
-        path = self._entry_path(
-            "designs", self.design_digest(token, signature, arch)
-        )
-        if os.path.exists(path):
-            return
-        if error is not None:
-            payload: Dict[str, object] = {"status": "error", "message": error}
-        else:
-            payload = {"status": "ok", "leaves": encode_leaves(leaves)}
-        self._atomic_write(path, design_entry_doc(token, signature, arch, payload))
-        self._bump(design_writes=1)
+    # ------------------------------------------------------------------
+    # Retired design entries
+    # ------------------------------------------------------------------
+    def get_design(self, *args, **kwargs):
+        # Stub: perfbench/tracing.py wraps this name on the store class.
+        # Delete it once the benchmark stops tracing it.
+        raise StoreError("design entries are no longer stored")
+
+    def put_design(self, *args, **kwargs):
+        # Stub: perfbench/tracing.py wraps this name on the store class.
+        # Delete it once the benchmark stops tracing it.
+        raise StoreError("design entries are no longer stored")
 
     # ------------------------------------------------------------------
     # Result entries
@@ -424,12 +352,12 @@ class DesignStore:
 
     def get_result(self, token: Tuple, arch: str) -> Optional[Dict]:
         """The stored search result for ``(matrix, arch)``, or None."""
-        path = self._entry_path("results", self.result_digest(token, arch))
+        path = self._entry_path(self.result_digest(token, arch))
         if not os.path.exists(path):
             self._bump(result_misses=1)
             return None
         try:
-            entry = self._read_entry(path, "result")
+            entry = self._read_entry(path)
             if entry.get("matrix", {}).get("digest") != token[-1]:
                 raise _CorruptEntry("matrix digest does not match key")
         except _CorruptEntry as exc:
@@ -442,29 +370,22 @@ class DesignStore:
     def put_result(self, token: Tuple, arch: str, record: Dict) -> None:
         """Persist (or overwrite) the finished search result for a matrix.
 
-        Unlike designs, results are overwritten: a fresh full search may
-        legitimately replace a neighbour-transferred record with a better
-        one.  A small ``.meta`` sidecar (features, name, GFLOPS — no
-        artifact) is written next to the entry so nearest-neighbour scans
-        never have to decode full artifact payloads.
+        Results are overwritten: a fresh full search may legitimately
+        replace a neighbour-transferred record with a better one.  A small
+        ``.meta`` sidecar (features, name, GFLOPS — no artifact) is written
+        next to the entry so nearest-neighbour scans never have to decode
+        full artifact payloads.
         """
         digest = self.result_digest(token, arch)
         self._atomic_write(
-            self._entry_path("results", digest),
-            result_entry_doc(token, arch, record),
+            self._entry_path(digest), result_entry_doc(token, arch, record)
         )
-        self._atomic_write(
-            self._meta_path(digest), self._meta_from_record(arch, record)
-        )
+        self._atomic_write(self._meta_path(digest), result_meta_doc(arch, record))
         self._bump(result_writes=1)
 
     # -- lightweight result metadata (nearest-neighbour index) ----------
     def _meta_path(self, digest: str) -> str:
-        return os.path.join(self.path, "results", f"{digest}.meta")
-
-    # Kept as a method alias: the canonical builder is module-level so the
-    # journal backend derives identical metadata without a store handle.
-    _meta_from_record = staticmethod(result_meta_doc)
+        return os.path.join(self.path, _RESULTS, f"{digest}.meta")
 
     def result_metas(self, arch: Optional[str] = None) -> List[Tuple[str, Dict]]:
         """``(digest, meta)`` per stored result — the cheap scan the
@@ -472,7 +393,7 @@ class DesignStore:
         sidecar self-heals from one full entry read (and is written back);
         corrupt entries are skipped and counted."""
         out: List[Tuple[str, Dict]] = []
-        for name in self._list("results"):
+        for name in self._list(_RESULTS):
             digest = name[: -len(".json")]
             meta: Optional[Dict] = None
             meta_path = self._meta_path(digest)
@@ -488,14 +409,10 @@ class DesignStore:
                 except (OSError, json.JSONDecodeError):
                     meta = None
             if meta is None:
-                entry_path = os.path.join(self.path, "results", name)
-                try:
-                    entry = self._read_entry(entry_path, "result")
-                except _CorruptEntry as exc:
-                    self._bump(corrupt=1)
-                    self._quarantine(entry_path, exc.reason)
+                entry = self._read_or_quarantine(self._entry_path(digest))
+                if entry is None:
                     continue
-                meta = self._meta_from_record(entry.get("arch"), entry["payload"])
+                meta = result_meta_doc(entry.get("arch"), entry["payload"])
                 try:
                     self._atomic_write(meta_path, meta)
                 except OSError:
@@ -510,126 +427,73 @@ class DesignStore:
     def result_payload(self, digest: str) -> Optional[Dict]:
         """Full (digest-verified) record behind one :meth:`result_metas`
         row — loaded only for the chosen neighbour, never during ranking."""
-        path = self._entry_path("results", digest)
+        path = self._entry_path(digest)
         if not os.path.exists(path):
             return None
-        try:
-            entry = self._read_entry(path, "result")
-        except _CorruptEntry as exc:
-            self._bump(corrupt=1)
-            self._quarantine(path, exc.reason)
-            return None
-        return entry["payload"]
+        entry = self._read_or_quarantine(path)
+        return None if entry is None else entry["payload"]
 
     def results(self, arch: Optional[str] = None) -> List[Dict]:
         """Every valid stored result record (optionally one arch only),
         in deterministic filename order; corrupt entries are skipped."""
         records = []
-        for name in self._list("results"):
-            path = os.path.join(self.path, "results", name)
-            try:
-                entry = self._read_entry(path, "result")
-            except _CorruptEntry as exc:
-                self._bump(corrupt=1)
-                self._quarantine(path, exc.reason)
+        for name in self._list(_RESULTS):
+            entry = self._read_or_quarantine(
+                os.path.join(self.path, _RESULTS, name)
+            )
+            if entry is None:
                 continue
             if arch is not None and entry.get("arch") != arch:
                 continue
             records.append(entry["payload"])
         return records
 
-    def design_payloads(self) -> List[Tuple[str, str, Dict]]:
-        """``(filename, signature-repr, payload)`` per valid design entry,
-        in deterministic filename order — the static audit walks these to
-        re-judge persisted designs; corrupt entries are skipped (they are
-        already surfaced by :meth:`verify`)."""
-        out: List[Tuple[str, str, Dict]] = []
-        for name in self._list("designs"):
-            path = os.path.join(self.path, "designs", name)
-            try:
-                entry = self._read_entry(path, "design")
-            except _CorruptEntry:
-                continue
-            out.append(
-                (name, str(entry.get("signature", "")), entry["payload"])
-            )
-        return out
-
     # ------------------------------------------------------------------
     # Maintenance (CLI: store ls / verify / gc)
     # ------------------------------------------------------------------
     def entries(self) -> List[EntryStatus]:
-        """Integrity status of every entry file (``ls`` / ``verify``)."""
+        """Integrity status of every result entry file (``ls``/``verify``)."""
         out: List[EntryStatus] = []
-        for kind_dir, kind in (("designs", "design"), ("results", "result")):
-            for name in self._list(kind_dir):
-                path = os.path.join(self.path, kind_dir, name)
-                size = os.path.getsize(path) if os.path.exists(path) else 0
-                try:
-                    entry = self._read_entry(path, kind)
-                except _CorruptEntry as exc:
-                    out.append(
-                        EntryStatus(kind, name, False, "?", "?", exc.reason, size)
-                    )
-                    continue
-                matrix = entry.get("matrix", {})
-                if kind == "design":
-                    payload = entry["payload"]
-                    if payload.get("status") == "error":
-                        detail = "design error (cached failure)"
-                    else:
-                        detail = f"{len(payload.get('leaves', []))} leaf(s)"
-                else:
-                    payload = entry["payload"]
-                    gflops = payload.get("best_gflops")
-                    via = payload.get("via", "search")
-                    detail = (
-                        f"{gflops:.1f} GFLOPS via {via}"
-                        if isinstance(gflops, (int, float))
-                        else via
-                    )
+        for name in self._list(_RESULTS):
+            path = os.path.join(self.path, _RESULTS, name)
+            size = os.path.getsize(path) if os.path.exists(path) else 0
+            try:
+                entry = self._read_entry(path)
+            except _CorruptEntry as exc:
                 out.append(
-                    EntryStatus(
-                        kind,
-                        name,
-                        True,
-                        str(matrix.get("name") or "<unnamed>"),
-                        str(entry.get("arch")),
-                        detail,
-                        size,
-                    )
+                    EntryStatus("result", name, False, "?", "?", exc.reason, size)
                 )
+                continue
+            out.append(
+                EntryStatus(
+                    "result",
+                    name,
+                    True,
+                    str(entry.get("matrix", {}).get("name") or "<unnamed>"),
+                    str(entry.get("arch")),
+                    result_detail(entry["payload"]),
+                    size,
+                )
+            )
         return out
 
     def verify(self, repair: bool = False) -> List[EntryStatus]:
-        """Deep integrity check: :meth:`entries` plus payload decoding —
-        a design entry must also hydrate back into leaves.
+        """Integrity check of every entry (:meth:`entries`).
 
         With ``repair=True`` every failing entry is quarantined to
         ``corrupt/`` on the spot (the ``store verify --repair`` CLI path),
         exactly as a read path would on first detection; the returned
         statuses still describe the damage found.
         """
-        out = []
-        for status in self.entries():
-            if status.ok and status.kind == "design":
-                path = os.path.join(self.path, "designs", status.filename)
-                try:
-                    entry = self._read_entry(path, "design")
-                    if entry["payload"].get("status") != "error":
-                        decode_leaves(entry["payload"]["leaves"])
-                except (_CorruptEntry, KeyError, TypeError, ValueError) as exc:
-                    status = replace(
-                        status, ok=False, detail=f"payload will not hydrate: {exc}"
+        statuses = self.entries()
+        if repair:
+            for status in statuses:
+                if not status.ok:
+                    self._quarantine(
+                        os.path.join(self.path, _RESULTS, status.filename),
+                        status.detail,
                     )
-            if repair and not status.ok:
-                kind_dir = "designs" if status.kind == "design" else "results"
-                self._quarantine(
-                    os.path.join(self.path, kind_dir, status.filename),
-                    status.detail,
-                )
-            out.append(status)
-        return out
+        return statuses
 
     # ------------------------------------------------------------------
     # Search claims (at-most-once execution for the resolver pool)
@@ -672,47 +536,33 @@ class DesignStore:
         return out
 
     def gc(self) -> Tuple[List[str], List[str]]:
-        """Prune corrupt entries and unreferenced designs.
+        """Prune corrupt entries, legacy design entries and claims.
 
-        A design entry is *referenced* when a valid result record exists
-        for the same ``(matrix digest, arch)`` — i.e. some search of that
-        matrix ran to completion.  Unreferenced designs are partial-search
-        residue; they would be regenerated (and re-stored) by the next
-        search, so pruning them is always safe.  Returns
-        ``(removed_corrupt, removed_unreferenced)`` filenames.
+        Returns ``(removed_corrupt, removed_designs)`` relative filenames;
+        the second list is the ``designs/`` tree an earlier revision wrote,
+        which nothing reads any more.
         """
-        referenced = set()
-        for name in self._list("results"):
-            path = os.path.join(self.path, "results", name)
-            try:
-                entry = self._read_entry(path, "result")
-            except _CorruptEntry:
-                continue
-            referenced.add(
-                (entry.get("matrix", {}).get("digest"), entry.get("arch"))
-            )
         removed_corrupt: List[str] = []
-        removed_unreferenced: List[str] = []
-        for kind_dir, kind in (("designs", "design"), ("results", "result")):
-            for name in self._list(kind_dir):
-                path = os.path.join(self.path, kind_dir, name)
-                try:
-                    entry = self._read_entry(path, kind)
-                except _CorruptEntry:
-                    os.unlink(path)
-                    removed_corrupt.append(f"{kind_dir}/{name}")
-                    continue
-                if kind == "design":
-                    key = (
-                        entry.get("matrix", {}).get("digest"),
-                        entry.get("arch"),
-                    )
-                    if key not in referenced:
-                        os.unlink(path)
-                        removed_unreferenced.append(f"{kind_dir}/{name}")
+        for name in self._list(_RESULTS):
+            path = os.path.join(self.path, _RESULTS, name)
+            try:
+                self._read_entry(path)
+            except _CorruptEntry:
+                os.unlink(path)
+                removed_corrupt.append(f"{_RESULTS}/{name}")
+        designs_dir = os.path.join(self.path, _LEGACY_DESIGNS)
+        removed_designs = [
+            f"{_LEGACY_DESIGNS}/{name}"
+            for name in (
+                sorted(os.listdir(designs_dir))
+                if os.path.isdir(designs_dir)
+                else []
+            )
+        ]
+        shutil.rmtree(designs_dir, ignore_errors=True)
         # Meta sidecars are derived data: drop any whose entry is gone
         # (including entries gc just removed) — they regenerate on demand.
-        results_dir = os.path.join(self.path, "results")
+        results_dir = os.path.join(self.path, _RESULTS)
         for name in sorted(os.listdir(results_dir)):
             if not name.endswith(".meta"):
                 continue
@@ -728,4 +578,4 @@ class DesignStore:
             for name in sorted(os.listdir(claims_dir)):
                 if name.endswith(".json"):
                     os.unlink(os.path.join(claims_dir, name))
-        return removed_corrupt, removed_unreferenced
+        return removed_corrupt, removed_designs

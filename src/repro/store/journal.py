@@ -21,11 +21,15 @@ u64 *epoch*, bumped on every compaction) followed by records::
     [u32 payload length][u32 crc32(payload)][payload bytes]
 
 where the payload is canonical JSON ``{"op": ..., "key": ..., "entry": ...}``
-(ops: ``design`` — first-writer-wins, ``result`` — last-writer-wins,
-``claim`` — at-most-once search fence, ``drop`` — journal-style quarantine
-of a damaged entry).  Entry documents are byte-identical to the directory
-backend's files (shared builders in :mod:`repro.store.design`), so the two
-backends hold bit-identical content for the same write sequence.
+(ops: ``result`` — last-writer-wins, ``claim`` — at-most-once search
+fence, ``drop`` — journal-style quarantine of a damaged entry).  Entry
+documents are byte-identical to the directory backend's files (shared
+builders in :mod:`repro.store.design`), so the two backends hold
+bit-identical content for the same write sequence.  Logs and snapshots
+written by earlier revisions may also carry Designer output (``design``
+records, ``drop`` records of kind ``design``, a snapshot ``designs``
+map); replay skips them without counting them as damage, and the next
+compaction leaves them out.
 
 Crash safety:
 
@@ -37,12 +41,17 @@ Crash safety:
 * **Multi-writer** — appends happen under an exclusive ``flock`` acquired
   with bounded retries and deterministic backoff
   (:class:`~repro.reliability.retry.RetryPolicy`); exhaustion raises
-  :class:`LockTimeoutError` instead of blocking forever.
+  :class:`LockTimeoutError` instead of blocking forever.  Under the lock a
+  writer replays only the records other handles appended since its last
+  look, so an append costs O(record), not O(log).
 * **Compaction** — :meth:`compact` folds the current state into
   ``snapshot.json`` (atomic replace) and resets the journal to an empty
   log with a bumped epoch.  A crash between the two steps is safe: a
   snapshot *newer* than the journal epoch means the journal's records are
-  already folded in and are ignored until recovery resets the file.
+  already folded in and are ignored until recovery resets the file.  Each
+  handle remembers the ``os.stat`` identity of the snapshot it loaded, so
+  a writer that finds a different snapshot on disk recovers in full
+  before appending, rather than appending to a log that is already folded.
 * **Read-through cache** — each handle keeps the replayed state in memory
   and revalidates it against ``(epoch, journal size)`` per read: same
   epoch + unchanged size is a pure cache hit, grown size replays only the
@@ -56,23 +65,23 @@ which ``verify`` reports and ``compact``/``gc`` reclaim.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
 import threading
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core.designer import DesignLeaf
 from repro.reliability.faults import FaultInjector, FaultPlan, InjectedCrash
 from repro.reliability.retry import RetryError, RetryPolicy, call_with_retry
-from repro.store.codec import decode_leaves, encode_leaves, key_digest, payload_digest
+from repro.store.codec import key_digest, payload_digest
 from repro.store.design import (
     SCHEMA_VERSION,
     EntryStatus,
     StoreStats,
-    design_entry_doc,
+    result_detail,
     result_entry_doc,
     result_meta_doc,
 )
@@ -127,9 +136,19 @@ class _State:
 
     epoch: int = 0
     offset: int = _HEADER_SIZE
-    designs: Dict[str, Dict] = field(default_factory=dict)
+    #: ``(inode, size, mtime_ns)`` of the snapshot this state was loaded
+    #: from (None: there was none) — a writer that finds another one on
+    #: disk recovers in full before appending
+    snapshot_id: Optional[Tuple[int, int, int]] = None
+    #: a compaction crashed between its snapshot and the log reset: every
+    #: log record is already folded in, and the next writer must finish
+    #: the reset before appending
+    reset_pending: bool = False
     results: Dict[str, Dict] = field(default_factory=dict)
     claims: Set[str] = field(default_factory=set)
+    #: keys of Designer-output records an earlier revision wrote; nothing
+    #: reads them and compaction leaves them out
+    legacy_designs: Set[str] = field(default_factory=set)
     #: payload-invalid records skipped during replay (reason strings)
     invalid: List[str] = field(default_factory=list)
     #: framing damage found mid-log: (offset, reason) — records behind it
@@ -163,6 +182,10 @@ class JournalStore:
         self._state = _State()
         self._loaded = False
         self._append_serial = 0
+        #: per-handle serial numbers of lock attempts: injected lock faults
+        #: replay for the same sequence of operations on this handle,
+        #: whatever else the process has locked before
+        self._lock_serials = itertools.count(1)
         self.quarantine_log: List[Tuple[str, str]] = []
 
         if os.path.isfile(self.path):
@@ -249,6 +272,7 @@ class JournalStore:
                 if blocking_attempts is None
                 else replace(self.lock_policy, attempts=blocking_attempts)
             ),
+            serials=self._lock_serials,
             faults=self.faults,
         )
 
@@ -269,7 +293,7 @@ class JournalStore:
     def __len__(self) -> int:
         with self._mutex:
             self._refresh()
-            return len(self._state.designs) + len(self._state.results)
+            return len(self._state.results)
 
     # ------------------------------------------------------------------
     # Journal reading (the read-through cache tier)
@@ -313,23 +337,32 @@ class JournalStore:
         self._state = self._load_state()
         self._loaded = True
 
+    def _snapshot_id(self) -> Optional[Tuple[int, int, int]]:
+        try:
+            st = os.stat(self._snapshot_path)
+        except OSError:
+            return None
+        return (st.st_ino, st.st_size, st.st_mtime_ns)
+
     def _load_state(self) -> _State:
         """Full reload: snapshot (if any) + journal replay."""
-        state = _State()
+        # stat before reading: a snapshot replaced in between then shows
+        # up as a changed identity at the next locked operation
+        state = _State(snapshot_id=self._snapshot_id())
         snapshot = self._read_snapshot()
         journal_epoch = self._read_header()
         if snapshot is not None:
-            state.designs = dict(snapshot.get("designs", {}))
             state.results = dict(snapshot.get("results", {}))
             state.claims = set(snapshot.get("claims", []))
-            state.epoch = int(snapshot.get("epoch", 0))
-            if state.epoch > journal_epoch:
+            state.legacy_designs = set(snapshot.get("designs", {}))
+            if int(snapshot.get("epoch", 0)) > journal_epoch:
                 # compaction crashed after the snapshot, before the journal
                 # reset: every journal record is already folded in.  Keep
                 # the *journal's* epoch as the cache token so refresh stays
                 # consistent until a writer finishes the reset.
                 state.epoch = journal_epoch
                 state.offset = os.path.getsize(self._journal_path)
+                state.reset_pending = True
                 return state
         state.epoch = journal_epoch
         state.offset = _HEADER_SIZE
@@ -383,20 +416,26 @@ class JournalStore:
             state.invalid.append(f"undecodable record: {exc}")
             self._bump(corrupt=1)
             return
+        key = record.get("key")
         if op == "claim":
-            key = record.get("key")
             if isinstance(key, str):
                 state.claims.add(key)
             return
-        if op == "drop":
-            target = state.designs if record.get("kind") == "design" else state.results
-            target.pop(record.get("key"), None)
+        if op == "design":
+            if isinstance(key, str):
+                state.legacy_designs.add(key)
             return
-        if op not in ("design", "result"):
+        if op == "drop":
+            if record.get("kind") == "design":
+                state.legacy_designs.discard(key)
+            else:
+                state.results.pop(key, None)
+            return
+        if op != "result":
             state.invalid.append(f"unknown op {op!r}")
             self._bump(corrupt=1)
             return
-        key, entry = record.get("key"), record.get("entry")
+        entry = record.get("entry")
         ok = (
             isinstance(key, str)
             and isinstance(entry, dict)
@@ -409,18 +448,13 @@ class JournalStore:
             state.invalid.append(f"{op} record {key!r}: payload digest mismatch")
             self._bump(corrupt=1)
             return
-        if op == "design":
-            # first-writer-wins, matching the directory backend's
-            # put_design contract (design output is key-deterministic)
-            state.designs.setdefault(key, entry)
-        else:
-            state.results[key] = entry
+        state.results[key] = entry
 
     # ------------------------------------------------------------------
     # Journal writing
     # ------------------------------------------------------------------
     def _recover_locked(self) -> None:
-        """Truncated-tail recovery; caller holds the file lock.
+        """Full recovery; caller holds the file lock.
 
         Replays to find the last complete record, then truncates anything
         beyond it — a torn final record from a crashed writer is dropped
@@ -435,14 +469,42 @@ class JournalStore:
             self._loaded = True
             return
         state = self._load_state()
-        size = os.path.getsize(self._journal_path)
-        if size > state.offset:
-            with open(self._journal_path, "r+b") as fh:
-                fh.truncate(state.offset)
-                fh.flush()
-                os.fsync(fh.fileno())
+        self._truncate_beyond(state.offset)
         self._state = state
         self._loaded = True
+
+    def _sync_locked(self) -> None:
+        """Bring the state to the end of the log; caller holds the file
+        lock.
+
+        The common case costs O(new bytes): same epoch, same snapshot and
+        a log no shorter than our offset — replay what other handles
+        appended since, and truncate a torn tail behind it.  Anything else
+        (another handle compacted, the log shrank, a snapshot appeared or
+        changed, a crashed compaction awaits its reset) takes full
+        recovery.
+        """
+        state = self._state
+        if (
+            self._loaded
+            and not state.reset_pending
+            and self._snapshot_id() == state.snapshot_id
+            and self._read_header() == state.epoch
+        ):
+            size = os.path.getsize(self._journal_path)
+            if size >= state.offset:
+                if size > state.offset:
+                    self._replay(state, start=state.offset)
+                    self._truncate_beyond(state.offset)
+                return
+        self._recover_locked()
+
+    def _truncate_beyond(self, offset: int) -> None:
+        if os.path.getsize(self._journal_path) > offset:
+            with open(self._journal_path, "r+b") as fh:
+                fh.truncate(offset)
+                fh.flush()
+                os.fsync(fh.fileno())
 
     def _reset_journal(self, epoch: int) -> None:
         with open(self._journal_path, "r+b") as fh:
@@ -453,8 +515,8 @@ class JournalStore:
             os.fsync(fh.fileno())
 
     def _append(self, record: Dict) -> None:
-        """Append one record; caller holds mutex + file lock and has run
-        recovery, so ``self._state.offset`` is the true end of file."""
+        """Append one record; caller holds mutex + file lock and has
+        synced, so ``self._state.offset`` is the true end of file."""
         self._append_serial += 1
         serial = self._append_serial
         if self.faults is not None:
@@ -495,7 +557,7 @@ class JournalStore:
     def _write_locked(self, record: Dict) -> None:
         with self._mutex:
             with self._file_lock():
-                self._recover_locked()
+                self._sync_locked()
                 self._append(record)
                 if (
                     self.auto_compact_bytes is not None
@@ -503,72 +565,15 @@ class JournalStore:
                 ):
                     self._compact_locked()
 
-    # ------------------------------------------------------------------
-    # Design entries
-    # ------------------------------------------------------------------
-    def design_digest(self, token: Tuple, signature: Tuple, arch: str) -> str:
-        return key_digest("design", token, signature, arch)
-
-    def get_design(
-        self, token: Tuple, signature: Tuple, arch: str
-    ) -> Optional[Tuple[str, object]]:
-        """Stored design-phase outcome, or None on miss/corruption —
-        exactly the :meth:`DesignStore.get_design` contract."""
-        digest = self.design_digest(token, signature, arch)
-        with self._mutex:
-            self._refresh()
-            entry = self._state.designs.get(digest)
-        if entry is None:
-            self._bump(design_misses=1)
-            return None
-        try:
-            if entry.get("matrix", {}).get("digest") != token[-1]:
-                raise ValueError("matrix digest does not match key")
-            payload = entry["payload"]
-            if payload.get("status") == "error":
-                outcome: Tuple[str, object] = ("error", str(payload["message"]))
-            else:
-                outcome = ("ok", decode_leaves(payload["leaves"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            self._quarantine_entry("design", digest, str(exc))
-            self._bump(design_misses=1, corrupt=1)
-            return None
-        self._bump(design_hits=1)
-        return outcome
-
-    def put_design(
-        self,
-        token: Tuple,
-        signature: Tuple,
-        arch: str,
-        leaves: Optional[Sequence[DesignLeaf]] = None,
-        error: Optional[str] = None,
-    ) -> None:
-        """Persist one design-phase outcome; first writer wins."""
-        if (leaves is None) == (error is None):
-            raise StoreError("put_design takes exactly one of leaves/error")
-        digest = self.design_digest(token, signature, arch)
-        if error is not None:
-            payload: Dict[str, object] = {"status": "error", "message": error}
-        else:
-            payload = {"status": "ok", "leaves": encode_leaves(leaves)}
-        entry = design_entry_doc(token, signature, arch, payload)
-        with self._mutex:
-            self._refresh()
-            if digest in self._state.designs:
-                return
-            self._write_locked({"op": "design", "key": digest, "entry": entry})
-        self._bump(design_writes=1)
-
-    def _quarantine_entry(self, kind: str, digest: str, reason: str) -> None:
+    def _quarantine_result(self, digest: str, reason: str) -> None:
         """Journal-style quarantine: a ``drop`` record clears the damaged
         key (so a write-back heals) and the damage is logged."""
         try:
-            self._write_locked({"op": "drop", "kind": kind, "key": digest})
+            self._write_locked({"op": "drop", "kind": "result", "key": digest})
         except (StoreError, OSError):
             return
         with self._mutex:
-            self.quarantine_log.append((f"{kind}/{digest}", reason))
+            self.quarantine_log.append((f"result/{digest}", reason))
             self._stats = replace(
                 self._stats, quarantined=self._stats.quarantined + 1
             )
@@ -588,9 +593,7 @@ class JournalStore:
             self._bump(result_misses=1)
             return None
         if entry.get("matrix", {}).get("digest") != token[-1]:
-            self._quarantine_entry(
-                "result", digest, "matrix digest does not match key"
-            )
+            self._quarantine_result(digest, "matrix digest does not match key")
             self._bump(result_misses=1, corrupt=1)
             return None
         self._bump(result_hits=1)
@@ -634,15 +637,6 @@ class JournalStore:
             if arch is None or entry.get("arch") == arch
         ]
 
-    def design_payloads(self) -> List[Tuple[str, str, Dict]]:
-        with self._mutex:
-            self._refresh()
-            items = sorted(self._state.designs.items())
-        return [
-            (f"{digest}.json", str(entry.get("signature", "")), entry["payload"])
-            for digest, entry in items
-        ]
-
     # ------------------------------------------------------------------
     # Claims (at-most-once search execution)
     # ------------------------------------------------------------------
@@ -655,7 +649,7 @@ class JournalStore:
         claimant's death, which is the whole point."""
         with self._mutex:
             with self._file_lock():
-                self._recover_locked()
+                self._sync_locked()
                 if key in self._state.claims:
                     return False
                 self._append({"op": "claim", "key": key})
@@ -679,7 +673,7 @@ class JournalStore:
         """
         with self._mutex:
             with self._file_lock():
-                self._recover_locked()
+                self._sync_locked()
                 return self._compact_locked()
 
     def _compact_locked(self) -> Dict[str, int]:
@@ -690,7 +684,6 @@ class JournalStore:
             "schema": SCHEMA_VERSION,
             "kind": "design-store-snapshot",
             "epoch": new_epoch,
-            "designs": state.designs,
             "results": state.results,
             "claims": sorted(state.claims),
         }
@@ -704,10 +697,11 @@ class JournalStore:
         self._reset_journal(new_epoch)
         state.epoch = new_epoch
         state.offset = _HEADER_SIZE
+        state.snapshot_id = self._snapshot_id()
+        state.legacy_designs = set()
         state.invalid = []
         state.tail_lost = None
         return {
-            "designs": len(state.designs),
             "results": len(state.results),
             "claims": len(state.claims),
             "reclaimed_bytes": max(0, reclaimed),
@@ -721,28 +715,23 @@ class JournalStore:
         with self._mutex:
             self._refresh()
             state = self._state
-            designs = sorted(state.designs.items())
             results = sorted(state.results.items())
             invalid = list(state.invalid)
             tail_lost = state.tail_lost
         out: List[EntryStatus] = []
-        for digest, entry in designs:
-            payload = entry.get("payload", {})
-            if payload.get("status") == "error":
-                detail = "design error (cached failure)"
-            else:
-                detail = f"{len(payload.get('leaves', []))} leaf(s)"
-            out.append(self._status("design", digest, entry, detail))
         for digest, entry in results:
-            payload = entry.get("payload", {})
-            gflops = payload.get("best_gflops")
-            via = payload.get("via", "search")
-            detail = (
-                f"{gflops:.1f} GFLOPS via {via}"
-                if isinstance(gflops, (int, float))
-                else via
+            matrix = entry.get("matrix", {})
+            out.append(
+                EntryStatus(
+                    "result",
+                    f"{digest}.json",
+                    True,
+                    str(matrix.get("name") or "<unnamed>"),
+                    str(entry.get("arch")),
+                    result_detail(entry.get("payload", {})),
+                    len(json.dumps(entry, sort_keys=True)),
+                )
             )
-            out.append(self._status("result", digest, entry, detail))
         for reason in invalid:
             out.append(
                 EntryStatus("journal", _JOURNAL, False, "?", "?", reason, 0)
@@ -763,58 +752,25 @@ class JournalStore:
             )
         return out
 
-    @staticmethod
-    def _status(
-        kind: str, digest: str, entry: Dict, detail: str
-    ) -> EntryStatus:
-        matrix = entry.get("matrix", {})
-        return EntryStatus(
-            kind,
-            f"{digest}.json",
-            True,
-            str(matrix.get("name") or "<unnamed>"),
-            str(entry.get("arch")),
-            detail,
-            len(json.dumps(entry, sort_keys=True)),
-        )
-
     def verify(self, repair: bool = False) -> List[EntryStatus]:
-        """Deep check: :meth:`entries` plus design hydration.  With
-        ``repair=True``, failing entries are dropped (journal quarantine)
-        and framing damage is reclaimed by an immediate compaction."""
-        out = []
-        needs_compact = False
-        for status in self.entries():
-            if status.ok and status.kind == "design":
-                digest = status.filename[: -len(".json")]
-                with self._mutex:
-                    entry = self._state.designs.get(digest)
-                try:
-                    if entry is not None and entry["payload"].get("status") != "error":
-                        decode_leaves(entry["payload"]["leaves"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    status = replace(
-                        status, ok=False, detail=f"payload will not hydrate: {exc}"
-                    )
-                    if repair:
-                        self._quarantine_entry("design", digest, status.detail)
-            if not status.ok and status.kind == "journal":
-                needs_compact = True
-            out.append(status)
-        if repair and needs_compact:
+        """Integrity check (:meth:`entries`).  With ``repair=True``,
+        journal damage is reclaimed by an immediate compaction."""
+        statuses = self.entries()
+        if repair and any(not status.ok for status in statuses):
             self.compact()
-        return out
+        return statuses
 
     def gc(self) -> Tuple[List[str], List[str]]:
-        """Prune invalid records and unreferenced designs, then compact.
+        """Prune invalid records, legacy design records and claims, then
+        compact.
 
-        Mirrors :meth:`DesignStore.gc`: a design is *referenced* when a
-        valid result exists for its ``(matrix digest, arch)``; claims are
-        between-runs residue and are cleared.
+        Mirrors :meth:`DesignStore.gc`: returns ``(removed_corrupt,
+        removed_designs)``; claims are between-runs residue and are
+        cleared.
         """
         with self._mutex:
             with self._file_lock():
-                self._recover_locked()
+                self._sync_locked()
                 state = self._state
                 removed_corrupt = [
                     f"{_JOURNAL}: {reason}" for reason in state.invalid
@@ -824,49 +780,34 @@ class JournalStore:
                     removed_corrupt.append(
                         f"{_JOURNAL}: records after offset {offset} ({reason})"
                     )
-                referenced = {
-                    (
-                        entry.get("matrix", {}).get("digest"),
-                        entry.get("arch"),
-                    )
-                    for entry in state.results.values()
-                }
-                removed_unreferenced = []
-                for digest in sorted(state.designs):
-                    entry = state.designs[digest]
-                    key = (
-                        entry.get("matrix", {}).get("digest"),
-                        entry.get("arch"),
-                    )
-                    if key not in referenced:
-                        del state.designs[digest]
-                        removed_unreferenced.append(f"designs/{digest}.json")
+                removed_designs = [
+                    f"designs/{digest}.json"
+                    for digest in sorted(state.legacy_designs)
+                ]
                 state.claims.clear()
                 self._compact_locked()
-        return removed_corrupt, removed_unreferenced
+        return removed_corrupt, removed_designs
 
 
 class _JournalLock:
     """Exclusive flock with bounded, fault-injectable acquisition."""
 
-    _serial = 0
-    _serial_lock = threading.Lock()
-
     def __init__(
         self,
         path: str,
         policy: RetryPolicy,
+        serials: Iterator[int],
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.path = path
         self.policy = policy
+        #: serial numbers of acquisition attempts (injected faults key on them)
+        self.serials = serials
         self.faults = faults
         self._fd: Optional[int] = None
 
     def _try_acquire(self) -> None:
-        with _JournalLock._serial_lock:
-            _JournalLock._serial += 1
-            serial = _JournalLock._serial
+        serial = next(self.serials)
         if self.faults is not None and self.faults.decide(
             "lock_timeout", serial
         ):

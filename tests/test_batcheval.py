@@ -124,7 +124,7 @@ class TestBatchedHistoryIdentity:
         engine = SearchEngine(A100)
         x = engine.workload.make_operand(small_regular)
         state = _SearchState(
-            start=0.0, budget=engine.budget, token=matrix_token(small_regular),
+            start=0.0, budget=engine.budget,
             x=x, reference=engine.workload.reference(small_regular, x),
             verify_key="verify",
         )

@@ -1,6 +1,7 @@
 """CLI tests (the paper's artifact-usage contract)."""
 
 import json
+import os
 
 import pytest
 
@@ -140,17 +141,18 @@ class TestBench:
 
 
 class TestDesignStoreFlag:
-    def test_search_store_warm_starts_second_run(self, mtx_file, tmp_path,
-                                                 capsys):
-        store = str(tmp_path / "designs")
-        args = ["search", mtx_file, "--evals", "16", "--store", store]
+    def test_search_store_records_result_only(self, mtx_file, tmp_path,
+                                              capsys):
+        store = tmp_path / "designs"
+        args = ["search", mtx_file, "--evals", "16", "--store", str(store)]
         assert main(args) == 0
-        first = capsys.readouterr().out
-        assert "0 designs loaded" in first
-        assert main(args) == 0  # fresh engine, same store path
-        second = capsys.readouterr().out
-        assert "0 designer runs" in second
-        assert "/ 0 designed" in second
+        assert main(args) == 0  # a repeat search overwrites the record
+        capsys.readouterr()
+        assert sorted(os.listdir(store)) == ["results", "store.json"]
+        assert len(list((store / "results").glob("*.json"))) == 1
+        serve = ["serve", mtx_file, "--store", str(store), "--evals", "16"]
+        assert main(serve) == 0
+        assert "1 exact" in capsys.readouterr().out
 
     def test_bench_store_populates(self, mtx_file, tmp_path, capsys):
         store = str(tmp_path / "designs")
@@ -204,7 +206,7 @@ class TestStoreCommand:
     def test_verify_clean_and_corrupt(self, populated, tmp_path, capsys):
         assert main(["store", "verify", populated]) == 0
         capsys.readouterr()
-        entry = sorted((tmp_path / "designs" / "designs").glob("*.json"))[0]
+        entry = sorted((tmp_path / "designs" / "results").glob("*.json"))[0]
         entry.write_text(entry.read_text()[:30])
         assert main(["store", "verify", populated]) == 1
         assert "CORRUPT" in capsys.readouterr().out

@@ -10,7 +10,8 @@ of the last complete record, with the torn tail physically truncated.
 The differential test then pins the other half of the contract: for the
 same write sequence, the journal backend and the directory backend hold
 bit-identical entry documents (shared doc builders), so the serving layer
-cannot tell them apart.
+cannot tell them apart.  Appends are O(record): under the writer lock a
+handle replays only what other handles appended since its last look.
 """
 
 import fcntl
@@ -21,8 +22,6 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.designer import DesignLeaf
-from repro.core.metadata import MatrixMetadataSet
 from repro.reliability.faults import FaultPlan, InjectedCrash
 from repro.reliability.retry import RetryPolicy
 from repro.search.evaluation import matrix_token
@@ -36,16 +35,11 @@ from repro.store.journal import (
 )
 
 ARCH = "A100"
-SIG = (("COMPRESS", ()),)
 
 _MATS = [
     banded_matrix(8 + 4 * i, bandwidth=1, seed=i, name=f"m{i}") for i in range(3)
 ]
 _TOKENS = [matrix_token(m) for m in _MATS]
-_LEAVES = [
-    [DesignLeaf(meta=MatrixMetadataSet.from_matrix(m), branch_path=())]
-    for m in _MATS
-]
 
 
 def _result(gflops):
@@ -101,28 +95,18 @@ class TestOpenStore:
 # Round trips and multi-handle visibility
 # ----------------------------------------------------------------------
 class TestJournalBasics:
-    def test_design_and_result_roundtrip_across_handles(self, tmp_path):
+    def test_result_roundtrip_across_handles(self, tmp_path):
         store = JournalStore(tmp_path / "s")
-        store.put_design(_TOKENS[0], SIG, ARCH, leaves=_LEAVES[0])
-        store.put_design(_TOKENS[1], SIG, ARCH, error="BIN: no rows")
         store.put_result(_TOKENS[0], ARCH, _result(1.0))
         store.put_result(_TOKENS[0], ARCH, _result(2.0))  # last wins
+        store.put_result(_TOKENS[1], ARCH, _result(3.0))
 
         fresh = JournalStore(tmp_path / "s")
-        status, leaves = fresh.get_design(_TOKENS[0], SIG, ARCH)
-        assert status == "ok" and len(leaves) == 1
-        status, message = fresh.get_design(_TOKENS[1], SIG, ARCH)
-        assert status == "error" and "no rows" in message
         assert fresh.get_result(_TOKENS[0], ARCH)["best_gflops"] == 2.0
-        assert fresh.get_design(_TOKENS[2], SIG, ARCH) is None
-        assert len(fresh) == 3
-
-    def test_first_design_writer_wins(self, tmp_path):
-        store = JournalStore(tmp_path / "s")
-        store.put_design(_TOKENS[0], ("sig",), ARCH, error="first")
-        store.put_design(_TOKENS[0], ("sig",), ARCH, error="second")
-        _, message = store.get_design(_TOKENS[0], ("sig",), ARCH)
-        assert message == "first"
+        assert fresh.get_result(_TOKENS[1], ARCH)["best_gflops"] == 3.0
+        assert fresh.get_result(_TOKENS[2], ARCH) is None
+        assert fresh.get_result(_TOKENS[0], "RTX2080") is None
+        assert len(fresh) == 2
 
     def test_second_handle_sees_live_appends(self, tmp_path):
         h1 = JournalStore(tmp_path / "s")
@@ -156,10 +140,10 @@ class TestCrashConsistency:
         truncates the torn tail."""
         path = tmp_path / "s"
         store = JournalStore(path)
-        store.put_design(_TOKENS[0], SIG, ARCH, leaves=_LEAVES[0])
-        store.put_design(_TOKENS[1], ("sig",), ARCH, error="BIN: nope")
         store.put_result(_TOKENS[0], ARCH, _result(1.0))
+        store.put_result(_TOKENS[1], ARCH, _result(5.0))
         store.claim_search("claim-1")
+        store._quarantine_result(store.result_digest(_TOKENS[1], ARCH), "drop")
         store.put_result(_TOKENS[0], ARCH, _result(2.0))
 
         journal = path / "journal.log"
@@ -174,19 +158,18 @@ class TestCrashConsistency:
             journal.write_bytes(data[:cut])
             survivor = JournalStore(path)
             survivor.claims()  # force a refresh
-            designs, results, claims = {}, {}, set()
+            results, claims = {}, set()
             boundary = _HEADER_SIZE
             for (start, end), record in zip(frames, records):
                 if end > cut:
                     break
                 boundary = end
-                if record["op"] == "design":
-                    designs.setdefault(record["key"], record["entry"])
-                elif record["op"] == "result":
+                if record["op"] == "result":
                     results[record["key"]] = record["entry"]
+                elif record["op"] == "drop":
+                    results.pop(record["key"], None)
                 else:
                     claims.add(record["key"])
-            assert survivor._state.designs == designs, f"cut at {cut}"
             assert survivor._state.results == results, f"cut at {cut}"
             assert survivor._state.claims == claims, f"cut at {cut}"
             assert os.path.getsize(journal) == boundary, f"cut at {cut}"
@@ -262,15 +245,89 @@ class TestCrashConsistency:
         assert recovered._read_header() == 1
         assert os.path.getsize(path / "journal.log") == _HEADER_SIZE
 
+    def test_handle_opened_before_crashed_compaction_appends_safely(
+        self, tmp_path, monkeypatch
+    ):
+        """A handle opened before another handle's compaction crashed
+        between snapshot and log reset must not append to the folded log
+        (a fresh reader would skip it as already compacted)."""
+        path = tmp_path / "s"
+        crasher = JournalStore(path)
+        crasher.put_result(_TOKENS[0], ARCH, _result(3.0))
+        survivor = JournalStore(path)
+
+        def crash(epoch):
+            raise InjectedCrash("died before the journal reset")
+
+        monkeypatch.setattr(crasher, "_reset_journal", crash)
+        with pytest.raises(InjectedCrash):
+            crasher.compact()
+        survivor.put_result(_TOKENS[1], ARCH, _result(4.0))
+
+        fresh = JournalStore(path)
+        assert fresh.get_result(_TOKENS[0], ARCH)["best_gflops"] == 3.0
+        assert fresh.get_result(_TOKENS[1], ARCH)["best_gflops"] == 4.0
+
+    def test_reader_loaded_mid_crash_finishes_reset_before_append(
+        self, tmp_path, monkeypatch
+    ):
+        """A handle that loaded the crashed-compaction state while another
+        process held the lock finishes the reset before its own append."""
+        path = tmp_path / "s"
+        crasher = JournalStore(path)
+        crasher.put_result(_TOKENS[0], ARCH, _result(3.0))
+
+        def crash(epoch):
+            raise InjectedCrash("died before the journal reset")
+
+        monkeypatch.setattr(crasher, "_reset_journal", crash)
+        with pytest.raises(InjectedCrash):
+            crasher.compact()
+        lock_fd = os.open(path / "journal.lock", os.O_CREAT | os.O_RDWR)
+        try:
+            fcntl.flock(lock_fd, fcntl.LOCK_EX)
+            reader = JournalStore(path, lock_policy=_fast_lock_policy())
+            assert reader.get_result(_TOKENS[0], ARCH)["best_gflops"] == 3.0
+        finally:
+            fcntl.flock(lock_fd, fcntl.LOCK_UN)
+            os.close(lock_fd)
+        reader.put_result(_TOKENS[1], ARCH, _result(4.0))
+
+        fresh = JournalStore(path)
+        assert fresh.get_result(_TOKENS[0], ARCH)["best_gflops"] == 3.0
+        assert fresh.get_result(_TOKENS[1], ARCH)["best_gflops"] == 4.0
+
+    def test_appends_replay_only_new_records(self, tmp_path, monkeypatch):
+        """Appends cost O(record): after open, 500 appends (from two
+        interleaved handles) reload the snapshot and replay the whole log
+        at most once, instead of once per append."""
+        path = tmp_path / "s"
+        writer, other = JournalStore(path), JournalStore(path)
+        calls = {"_load_state": 0, "_read_snapshot": 0}
+        for name in calls:
+            original = getattr(writer, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(writer, name, counted)
+        record = {"best_gflops": 1.0, "via": "search", "pad": "x" * 2000}
+        for i in range(500):
+            token = ("m", 1, 1, 1, f"d{i}")
+            (other if i % 50 == 0 else writer).put_result(token, ARCH, record)
+        assert calls["_load_state"] <= 1 and calls["_read_snapshot"] <= 1
+        assert len(JournalStore(path)) == len(writer) == 500
+
     def test_compact_and_auto_compact_preserve_contents(self, tmp_path):
         store = JournalStore(tmp_path / "s")
-        store.put_design(_TOKENS[0], SIG, ARCH, leaves=_LEAVES[0])
         store.put_result(_TOKENS[0], ARCH, _result(1.0))
+        store.claim_search("claim-1")
         report = store.compact()
         assert report["epoch"] == 1 and report["reclaimed_bytes"] > 0
         fresh = JournalStore(tmp_path / "s")
         assert fresh.get_result(_TOKENS[0], ARCH)["best_gflops"] == 1.0
-        assert fresh.get_design(_TOKENS[0], SIG, ARCH)[0] == "ok"
+        assert fresh.claims() == ["claim-1"]
 
         auto = JournalStore(tmp_path / "auto", auto_compact_bytes=64)
         auto.put_result(_TOKENS[0], ARCH, _result(1.0))
@@ -307,7 +364,7 @@ class TestLockingAndQuarantine:
             store.put_result(_TOKENS[0], ARCH, _result(1.0))
 
     def test_partial_injected_contention_is_survived_by_retry(self, tmp_path):
-        plan = FaultPlan(seed=3, lock_timeout_rate=0.4)
+        plan = FaultPlan(seed=0, lock_timeout_rate=0.4)
         store = JournalStore(
             tmp_path / "s",
             faults=plan,
@@ -321,42 +378,24 @@ class TestLockingAndQuarantine:
         assert len(store.results(ARCH)) == 3
         assert store.faults.fired.get("lock_timeout", 0) > 0
 
-    def test_unhydratable_design_is_quarantined(self, tmp_path):
-        from repro.store.design import design_entry_doc
+    def test_mismatched_result_is_quarantined_and_heals(self, tmp_path):
+        """A result whose matrix digest does not match its key is dropped
+        by a durable ``drop`` record, and a write-back heals the key."""
+        from repro.store.design import result_entry_doc
 
         path = tmp_path / "s"
         store = JournalStore(path)
-        digest = store.design_digest(_TOKENS[0], SIG, ARCH)
-        # CRC-valid, digest-valid record whose payload will not hydrate
-        entry = design_entry_doc(
-            _TOKENS[0], SIG, ARCH, {"status": "ok", "leaves": [{"bogus": 1}]}
-        )
-        store._write_locked({"op": "design", "key": digest, "entry": entry})
-        assert store.get_design(_TOKENS[0], SIG, ARCH) is None
+        digest = store.result_digest(_TOKENS[0], ARCH)
+        # CRC-valid, digest-valid record filed under the wrong matrix
+        entry = result_entry_doc(_TOKENS[1], ARCH, _result(1.0))
+        store._write_locked({"op": "result", "key": digest, "entry": entry})
+        assert store.get_result(_TOKENS[0], ARCH) is None
         assert store.stats().quarantined == 1
-        assert store.quarantine_log and "design/" in store.quarantine_log[0][0]
-        # the drop record is durable: a fresh handle never sees the entry
+        assert store.quarantine_log[0][0] == f"result/{digest}"
         fresh = JournalStore(path)
-        fresh.claims()
-        assert digest not in fresh._state.designs
-        # and the key heals by write-back
-        store.put_design(_TOKENS[0], SIG, ARCH, leaves=_LEAVES[0])
-        assert store.get_design(_TOKENS[0], SIG, ARCH)[0] == "ok"
-
-    def test_gc_prunes_unreferenced_designs_and_compacts(self, tmp_path):
-        from repro.store import make_result_record
-
-        store = JournalStore(tmp_path / "s")
-        store.put_design(_TOKENS[0], SIG, ARCH, leaves=_LEAVES[0])
-        store.put_design(_TOKENS[1], SIG, ARCH, leaves=_LEAVES[1])
-        store.put_result(
-            _TOKENS[0], ARCH, make_result_record(_MATS[0], ARCH, 1.0, None)
-        )
-        removed_corrupt, removed_unreferenced = store.gc()
-        assert removed_corrupt == []
-        assert len(removed_unreferenced) == 1  # token 1 had no result
-        assert store.get_design(_TOKENS[0], SIG, ARCH) is not None
-        assert store.get_design(_TOKENS[1], SIG, ARCH) is None
+        assert len(fresh) == 0
+        store.put_result(_TOKENS[0], ARCH, _result(2.0))
+        assert fresh.get_result(_TOKENS[0], ARCH)["best_gflops"] == 2.0
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +406,6 @@ class TestBackendParity:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["design_ok", "design_err", "result"]),
                 st.integers(min_value=0, max_value=2),
                 st.integers(min_value=1, max_value=999),
             ),
@@ -382,38 +420,20 @@ class TestBackendParity:
                 DesignStore(os.path.join(tmp, "dir")),
                 JournalStore(os.path.join(tmp, "journal")),
             )
-            for op, idx, value in ops:
+            for idx, value in ops:
                 for store in stores:
-                    if op == "design_ok":
-                        store.put_design(
-                            _TOKENS[idx], SIG, ARCH, leaves=_LEAVES[idx]
-                        )
-                    elif op == "design_err":
-                        store.put_design(
-                            _TOKENS[idx], ("sig",), ARCH, error=f"E{value}"
-                        )
-                    else:
-                        store.put_result(_TOKENS[idx], ARCH, _result(value))
+                    store.put_result(_TOKENS[idx], ARCH, _result(value))
             dir_store, journal_store = stores
-            assert json.dumps(
-                dir_store.design_payloads(), sort_keys=True
-            ) == json.dumps(journal_store.design_payloads(), sort_keys=True)
+            results_dir = os.path.join(tmp, "dir", "results")
+            on_disk = {}
+            for name in os.listdir(results_dir):
+                if name.endswith(".json"):
+                    with open(os.path.join(results_dir, name)) as fh:
+                        on_disk[name[: -len(".json")]] = json.load(fh)
+            assert on_disk == journal_store._state.results
             assert dir_store.results() == journal_store.results()
             assert dir_store.result_metas() == journal_store.result_metas()
-            for op, idx, _ in ops:
-                assert (
-                    dir_store.get_result(_TOKENS[idx], ARCH)
-                    == journal_store.get_result(_TOKENS[idx], ARCH)
-                )
-                if op == "design_ok":
-                    # payload byte-parity is proven above; here just the
-                    # hit/miss outcome (leaves hold numpy arrays, so the
-                    # decoded objects do not compare with ==)
-                    assert (
-                        dir_store.get_design(_TOKENS[idx], SIG, ARCH)[0]
-                        == journal_store.get_design(_TOKENS[idx], SIG, ARCH)[0]
-                    )
-                elif op == "design_err":
-                    assert dir_store.get_design(
-                        _TOKENS[idx], ("sig",), ARCH
-                    ) == journal_store.get_design(_TOKENS[idx], ("sig",), ARCH)
+            for idx in range(len(_TOKENS)):
+                assert dir_store.get_result(
+                    _TOKENS[idx], ARCH
+                ) == journal_store.get_result(_TOKENS[idx], ARCH)

@@ -454,7 +454,7 @@ class TestLeafAnalysisCache:
         """The per-search analysis memo: one DesignAnalysis per design
         signature, later lookups hit."""
         state = _SearchState(
-            start=0.0, budget=SMALL_BUDGET, token=("t",),
+            start=0.0, budget=SMALL_BUDGET,
             x=np.zeros(1), reference=np.zeros(1),
         )
         a = state.design_analysis(("k1",))

