@@ -1,7 +1,7 @@
 """Record (or CI-check) the sampler sample-efficiency baseline.
 
 Runs one standard-budget search per corpus matrix per sampler (annealer,
-qmc, tpe, dts) for the spmv and spmvt workloads, and writes per-sampler
+qmc, tpe) for the spmv and spmvt workloads, and writes per-sampler
 best GFLOPS + evals-to-best to ``BENCH_samplers.json`` at the repo root.
 Not a pytest module: run it directly.
 
@@ -66,7 +66,7 @@ WARM_MATRICES = MATRICES + [
 ]
 
 WORKLOADS = ["spmv", "spmvt"]
-SAMPLERS = ["annealer", "qmc", "tpe", "dts"]
+SAMPLERS = ["annealer", "qmc", "tpe"]
 
 #: the sampler the CI gate holds to the efficiency target.
 GATED_SAMPLER = "tpe"

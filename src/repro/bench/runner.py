@@ -87,7 +87,6 @@ class CorpusRunner:
         progress: Optional[Callable[[str], None]] = None,
         design_store: Optional[DesignStore] = None,
         workload: Optional[Workload] = None,
-        static_pruning: bool = True,
         warm_start: bool = False,
     ) -> None:
         self.gpu = gpu
@@ -105,7 +104,6 @@ class CorpusRunner:
             budget=budget,
             seed=seed,
             workload=workload,
-            enable_static_pruning=static_pruning,
             warm_start_store=design_store if warm_start else None,
         )
         #: the workload every baseline measurement and search runs under
@@ -150,12 +148,11 @@ class CorpusRunner:
                 "pruning": self.engine.enable_pruning,
                 "extensions": self.engine.enable_extensions,
                 "seeding": self.engine.enable_seeding,
+                # Static pruning always runs; the key stays so that stores
+                # written since the verifier existed keep resuming.
+                "static_pruning": True,
             },
         }
-        if self.engine.enable_static_pruning:
-            # Pinned only when on: pruning-off runs resume result stores
-            # written before the static verifier existed.
-            config["engine"]["static_pruning"] = True
         if self.engine.warm_start_store is not None:
             # Pinned only when on: warm starts seed the candidate stream
             # from the design store, so histories legitimately differ —
@@ -289,13 +286,10 @@ class CorpusRunner:
                 "design_cache_hits": result.design_cache_hits,
                 "design_cache_misses": result.design_cache_misses,
                 "wall_time_s": result.wall_time_s,
+                "static_pruned": result.static_pruned,
             },
             "creativity": creativity,
         }
-        if self.engine.enable_static_pruning:
-            # Same absent-key convention as the config: records from
-            # pruning-off runs keep their exact historical bytes.
-            record["search"]["static_pruned"] = result.static_pruned
         if self.engine.warm_start_store is not None:
             # Absent key == cold search: records from cold runs keep
             # their exact historical bytes (GOLDEN_BENCH_DIGEST).

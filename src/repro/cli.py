@@ -714,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", type=_sampler_arg, default=None,
                    metavar="NAME",
                    help="candidate sampler: annealer (default, the paper's "
-                        "three-level loop), qmc, tpe, or dts; adaptive "
-                        "samplers add successive-halving eval pruning")
+                        "three-level loop), qmc, or tpe; adaptive samplers "
+                        "add successive-halving eval pruning")
     p.add_argument("--sampler-seed", type=_sampler_seed_arg, default=None,
                    metavar="S",
                    help="seed of the adaptive samplers' private RNG "

@@ -9,10 +9,10 @@ pruning rules ban operators that cannot pay off for the input's sparsity
 pattern.
 
 Candidate selection is pluggable (:mod:`repro.search.samplers`): the
-annealer above is the default :class:`Sampler`, with quasi-Monte-Carlo,
-TPE and dueling-bandit alternatives selected via ``SearchEngine(sampler=
-...)`` / ``--sampler``; adaptive samplers add successive-halving eval
-pruning (:class:`SuccessiveHalvingPruner`).
+annealer above is the default :class:`Sampler`, with quasi-Monte-Carlo
+and TPE alternatives selected via ``SearchEngine(sampler=...)`` /
+``--sampler``; adaptive samplers add successive-halving eval pruning
+(:class:`SuccessiveHalvingPruner`).
 """
 
 from repro.search.engine import SearchBudget, SearchEngine, SearchResult, EvalRecord
@@ -26,7 +26,6 @@ from repro.search.pruning import (
 )
 from repro.search.samplers import (
     AskBatch,
-    DTSSampler,
     QMCSampler,
     Sampler,
     ScrambledSobol,
@@ -59,7 +58,6 @@ __all__ = [
     "ScrambledSobol",
     "QMCSampler",
     "TPESampler",
-    "DTSSampler",
     "get_sampler",
     "register_sampler",
     "sampler_names",

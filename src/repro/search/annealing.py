@@ -147,7 +147,7 @@ class AnnealerSampler(Sampler):
         self._incumbent = 0.0
 
     # ------------------------------------------------------------------
-    def ask(self, history: Sequence) -> Optional[List[AskBatch]]:
+    def ask(self, history: Sequence) -> Optional[AskBatch]:
         if self._tried >= self._space.budget.max_structures:
             return None
         # Paper footnote 10: the "no pruning" baseline removes simulated
@@ -174,11 +174,10 @@ class AnnealerSampler(Sampler):
             cap=self._space.budget.coarse_evals_per_structure,
             rng=self._rng,
         )
-        return [AskBatch(proposal, assignments, level="coarse")]
+        return AskBatch(proposal, assignments, level="coarse")
 
-    def tell(self, batches: List[AskBatch], records: List[List]) -> None:
-        recs = records[0] if records else []
-        structure_best = max((r.gflops for r in recs), default=0.0)
+    def tell(self, batch: AskBatch, records: List) -> None:
+        structure_best = max((r.gflops for r in records), default=0.0)
         improved = structure_best > self._incumbent
         if self._schedule.accept(structure_best, self._incumbent, self._rng):
             self._incumbent = max(self._incumbent, structure_best)

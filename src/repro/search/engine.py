@@ -228,7 +228,7 @@ class _SearchState:
     best_gflops: float = 0.0
     best_graph: Optional[OperatorGraph] = None
     best_program: Optional[GeneratedProgram] = None
-    #: matrix facts backing static pre-eval pruning (None = pruning off).
+    #: matrix facts backing static pre-eval pruning.
     facts: Optional[MatrixFacts] = None
     static_pruned: int = 0
     sampler_pruned: int = 0
@@ -315,12 +315,10 @@ class SearchEngine:
         seed: int = 0,
         enable_extensions: bool = False,
         enable_seeding: bool = True,
-        enable_static_pruning: bool = True,
         store: Optional[DesignStore] = None,
         workload: Optional[Workload] = None,
         sampler: Optional[object] = None,
         sampler_seed: Optional[int] = None,
-        enable_sampler_pruning: bool = True,
         warm_start_store: Optional[DesignStore] = None,
     ) -> None:
         self.gpu = gpu
@@ -342,25 +340,17 @@ class SearchEngine:
         #: visit the source-format archetypes before random structures
         #: (ablatable design choice; see benchmarks/test_abl_seeding.py)
         self.enable_seeding = enable_seeding
-        #: refute candidates with the static verifier before spending an
-        #: evaluation on them (sound: only designs whose reduction chain
-        #: provably cannot validate are skipped).  Also lets the sampler
-        #: shape its chain menu to the workload.  Off reproduces the
-        #: pre-verifier search histories byte for byte.
-        self.enable_static_pruning = enable_static_pruning
         #: candidate sampler driving the ask/tell loop (name or class; see
         #: :mod:`repro.search.samplers`).  The default annealer reproduces
         #: the legacy engine behaviour byte for byte.
         self.sampler_cls = get_sampler(sampler)
         #: seed of the adaptive samplers' private RNG; None derives it
         #: from the per-search seed (the annealer draws from the engine
-        #: RNG regardless, so this only affects qmc/tpe/dts).
+        #: RNG regardless, so this only affects qmc/tpe).
         self.sampler_seed = sampler_seed
-        #: successive-halving eval pruning for samplers that opt in
-        #: (``Sampler.prunes``); losing candidates are dropped after a
-        #: cheap cost-projection rung and counted in
-        #: ``SearchResult.sampler_pruned``.
-        self.enable_sampler_pruning = enable_sampler_pruning
+        #: successive halving for samplers with ``Sampler.prunes`` set:
+        #: losing candidates are dropped after a cheap cost-projection
+        #: rung and counted in ``SearchResult.sampler_pruned``.
         self.sh_pruner = SuccessiveHalvingPruner()
         self.builder = KernelBuilder(
             compressor=ModelDrivenCompressor(), workload=self.workload
@@ -425,9 +415,7 @@ class SearchEngine:
             extensions=self.enable_extensions,
             seeding=self.enable_seeding,
             budget=self.budget,
-            shaping_workload=(
-                self.workload if self.enable_static_pruning else None
-            ),
+            shaping_workload=self.workload,
             annealing_termination=self.enable_pruning,
             annealing_template=self.annealing,
         )
@@ -443,7 +431,6 @@ class SearchEngine:
                 else (self.seed if seed is None else seed)
             ),
         )
-        prune = sampler.prunes and self.enable_sampler_pruning
 
         x = self.workload.make_operand(matrix)
         reference = self.workload.reference(matrix, x)
@@ -453,11 +440,11 @@ class SearchEngine:
             x=x,
             reference=reference,
             verify_key=content_digest(x, reference),
-            facts=matrix_facts(matrix) if self.enable_static_pruning else None,
+            facts=matrix_facts(matrix),
         )
 
+        # every structure proposed so far, first proposal per signature
         structure_store: Dict[Tuple, SampledStructure] = {}
-        structures_tried = 0
 
         # ---------------- Level 0: cross-matrix warm start ----------------
         # Seed the search with the store's closest prior winner: the donor
@@ -468,9 +455,7 @@ class SearchEngine:
         if self.warm_start_store is not None and not state.out_of_budget():
             donor = self._warm_start_proposal(matrix)
             if donor is not None:
-                if donor.signature not in structure_store:
-                    structure_store[donor.signature] = donor
-                    structures_tried += 1
+                structure_store.setdefault(donor.signature, donor)
                 records = self._measure_batch(
                     matrix, donor, [{}], state, level="coarse"
                 )
@@ -481,25 +466,19 @@ class SearchEngine:
         # parameter assignments); the engine owns budgets, static pruning,
         # measurement and history recording.
         while not state.out_of_budget():
-            batches = sampler.ask(state.history)
-            if batches is None:
+            batch = sampler.ask(state.history)
+            if batch is None:
                 break  # sampler done (terminated, exhausted, or converged)
-            records_per_batch = []
-            for batch in batches:
-                if batch.proposal.signature not in structure_store:
-                    structure_store[batch.proposal.signature] = batch.proposal
-                    structures_tried += 1
-                records_per_batch.append(
-                    self._measure_batch(
-                        matrix,
-                        batch.proposal,
-                        batch.assignments,
-                        state,
-                        level=batch.level,
-                        prune=prune,
-                    )
-                )
-            sampler.tell(batches, records_per_batch)
+            structure_store.setdefault(batch.proposal.signature, batch.proposal)
+            records = self._measure_batch(
+                matrix,
+                batch.proposal,
+                batch.assignments,
+                state,
+                level=batch.level,
+                prune=sampler.prunes,
+            )
+            sampler.tell(batch, records)
 
         coarse_iterations = state.evals
 
@@ -522,7 +501,7 @@ class SearchEngine:
             history=state.history,
             coarse_iterations=coarse_iterations,
             total_evaluations=len(state.history),
-            structures_tried=structures_tried,
+            structures_tried=len(structure_store),
             banned_operators=banned,
             ml_mad=ml_mad,
             wall_time_s=time.perf_counter() - start,
@@ -552,10 +531,10 @@ class SearchEngine:
     ) -> List[EvalRecord]:
         """Evaluate a structure's parameter assignments as one batch.
 
-        With static pruning on, assignments whose reduction chain the
-        verifier refutes for this matrix+workload are dropped before
-        anything else — they consume no evaluation slot and leave no
-        history record, only the ``static_pruned`` counter.  Verdicts are
+        Assignments whose reduction chain the static verifier refutes for
+        this matrix+workload are dropped before anything else — they
+        consume no evaluation slot and leave no history record, only the
+        ``static_pruned`` counter.  Verdicts are
         memoized per runtime-masked key (grid_threads only — the verifier
         reads threads_per_block), so a structure's whole work-grain axis
         shares one analyze_design pass.
@@ -566,30 +545,27 @@ class SearchEngine:
         exists (``sampler_pruned``); otherwise every candidate is
         measured.  Returns the new history records, in submission order.
         """
-        candidates = list(assignments)
-        if state.facts is not None:
-            kept = []
-            op_names = [node.op_name for node in proposal.graph.walk()]
-            for assignment in candidates:
-                merged = dict(proposal.locks)
-                merged.update(assignment)
-                memo_key = (
-                    proposal.signature,
-                    design_group_key(merged, op_names, keep_tpb=True),
+        candidates = []
+        op_names = [node.op_name for node in proposal.graph.walk()]
+        for assignment in assignments:
+            merged = dict(proposal.locks)
+            merged.update(assignment)
+            memo_key = (
+                proposal.signature,
+                design_group_key(merged, op_names, keep_tpb=True),
+            )
+            invalid = state.static_memo.get(memo_key)
+            if invalid is None:
+                graph = graph_with_params(
+                    proposal.graph, assignment, proposal.locks
                 )
-                invalid = state.static_memo.get(memo_key)
-                if invalid is None:
-                    graph = graph_with_params(
-                        proposal.graph, assignment, proposal.locks
-                    )
-                    report = analyze_design(graph, self.workload, state.facts)
-                    invalid = report.verdict is Verdict.INVALID
-                    state.static_memo[memo_key] = invalid
-                if invalid:
-                    state.static_pruned += 1
-                else:
-                    kept.append(assignment)
-            candidates = kept
+                report = analyze_design(graph, self.workload, state.facts)
+                invalid = report.verdict is Verdict.INVALID
+                state.static_memo[memo_key] = invalid
+            if invalid:
+                state.static_pruned += 1
+            else:
+                candidates.append(assignment)
         if prune and len(candidates) > self.sh_pruner.min_survivors:
             return self._measure_pruned(matrix, proposal, candidates, state, level)
         return self._measure_list(matrix, proposal, candidates, state, level)

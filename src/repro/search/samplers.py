@@ -8,7 +8,7 @@ interpolation on top.  This module makes that choice a first-class plugin
 results back in (``tell``), while the engine keeps everything samplers must
 not own — budgets, static pruning, the staged evaluator, history recording.
 
-Four samplers ship:
+Three samplers ship:
 
 ``annealer`` (:class:`~repro.search.annealing.AnnealerSampler`)
     The historical behaviour behind the interface — structure proposals
@@ -31,26 +31,18 @@ Four samplers ship:
     improvement ratio ``l_good / l_bad`` (the optuna TPE recipe adapted to
     the discrete operator-parameter grids).
 
-``dts`` (:class:`DTSSampler`)
-    Double-Thompson-Sampling dueling bandit over design combos (PAPERS.md):
-    structures are *arms*, each ask selects a (champion, challenger) pair
-    by D-TS over the pairwise win matrix and spends the next evaluation
-    batch on their candidates; the measured-GFLOPS comparison updates the
-    duel record.  Fits this engine exactly: candidates are naturally
-    compared, not scored absolutely.
-
 Adaptive samplers (everything but the annealer) draw only from their own
 seeded RNG inside ``ask``/``tell`` — never during evaluation — so a seed
-fixes the ask sequence, and they opt in to successive-halving eval pruning
-(``prunes = True``): the engine projects candidate costs cheaply and fully
-measures only rung survivors (see
+fixes the ask sequence, and they set ``prunes = True``: the engine
+projects candidate costs cheaply and fully measures only the survivors of
+a successive-halving tournament (see
 :class:`~repro.search.pruning.SuccessiveHalvingPruner`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Type, Union
 
 import numpy as np
@@ -68,7 +60,6 @@ __all__ = [
     "Sampler",
     "QMCSampler",
     "TPESampler",
-    "DTSSampler",
     "ScrambledSobol",
     "SAMPLERS",
     "DEFAULT_SAMPLER_NAME",
@@ -88,12 +79,8 @@ DEFAULT_SAMPLER_NAME = "annealer"
 
 @dataclass
 class AskBatch:
-    """One structure's worth of candidates to evaluate next.
-
-    ``ask`` returns a *list* of batches measured back-to-back before the
-    single matching ``tell`` — the dueling-bandit sampler needs both duel
-    arms measured before it can record the comparison.
-    """
+    """One structure's worth of candidates to evaluate next: what
+    ``ask`` returns and what ``tell`` receives back with its records."""
 
     proposal: SampledStructure
     assignments: List[Dict]
@@ -112,9 +99,9 @@ class SearchSpace:
     extensions: bool
     seeding: bool
     budget: "SearchBudget"  # noqa: F821 - engine import cycle, runtime only
-    #: workload handed to :class:`StructureSampler` for reduction-chain
-    #: shaping — ``None`` when static pruning is off (legacy draw order).
-    shaping_workload: Optional[object] = None
+    #: the engine's workload, handed to :class:`StructureSampler` to shape
+    #: its reduction-chain menu (only transpose workloads change it).
+    shaping_workload: object
     #: whether annealing-based early termination applies (the engine's
     #: ``enable_pruning``; paper footnote 10 couples the two).
     annealing_termination: bool = True
@@ -159,9 +146,9 @@ class Sampler(ABC):
 
         sampler.begin(space, rng=search_rng, seed=sampler_seed)
         while budget remains:
-            batches = sampler.ask(history)      # None = sampler done
-            records = engine.measure(batches)   # full or SH-pruned
-            sampler.tell(batches, records)
+            batch = sampler.ask(history)      # None = sampler done
+            records = engine.measure(batch)   # full, or SH if prunes
+            sampler.tell(batch, records)
 
     ``rng`` is the engine's live per-search generator — only the default
     annealer may draw from it (that is what byte-identity requires);
@@ -175,9 +162,9 @@ class Sampler(ABC):
     #: loop (the legacy three-level shape; adaptive samplers do their own
     #: exploitation instead).
     uses_ml_level: bool = True
-    #: opt in to successive-halving eval pruning: the engine projects
-    #: batch candidates through the cheap cost rung and fully measures
-    #: rung survivors only.
+    #: successive-halving eval pruning: the engine projects each batch's
+    #: candidates through the cheap cost rung and fully measures rung
+    #: survivors only.
     prunes: bool = False
 
     @abstractmethod
@@ -187,20 +174,18 @@ class Sampler(ABC):
         """Bind the per-search context before the first ask."""
 
     @abstractmethod
-    def ask(self, history: Sequence) -> Optional[List[AskBatch]]:
-        """Next evaluation batches, or None when the sampler is done.
+    def ask(self, history: Sequence) -> Optional[AskBatch]:
+        """The next evaluation batch, or None when the sampler is done.
 
         ``history`` is the live list of measured
         :class:`~repro.search.engine.EvalRecord` (pruned candidates never
         appear in it).
         """
 
-    @abstractmethod
-    def tell(
-        self, batches: List[AskBatch], records: List[List]
-    ) -> None:
-        """Fold measurements back in; ``records[i]`` parallels
-        ``batches[i]`` (shorter when the budget truncated the batch)."""
+    def tell(self, batch: AskBatch, records: List) -> None:
+        """Fold the batch's new history records back in (fewer than its
+        assignments when pruning or the budget cut the batch).  A no-op
+        by default: history-driven samplers read ``ask``'s history."""
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +414,7 @@ class _AdaptiveBase(Sampler):
         )
         self._pool: Dict[Tuple, _StructurePoints] = {}
         self._order: List[Tuple] = []
-        for proposal in space.seed_proposals():
+        for proposal in space.seed_proposals()[: space.budget.max_structures]:
             self._add(proposal)
 
     # -- pool -----------------------------------------------------------
@@ -442,7 +427,9 @@ class _AdaptiveBase(Sampler):
         return sig
 
     def _add_random(self) -> Optional[Tuple]:
-        if len(self._order) >= self.space.budget.max_structures:
+        # Count the pool, not ``_order``: TPE retires exhausted structures
+        # from ``_order``, and they still count as tried.
+        if len(self._pool) >= self.space.budget.max_structures:
             return None
         proposal = propose_structure(self._structures, set(self._pool))
         if proposal is None:
@@ -455,9 +442,6 @@ class _AdaptiveBase(Sampler):
         if not assignments:
             return None
         return AskBatch(points.proposal, assignments, level=level)
-
-    def tell(self, batches: List[AskBatch], records: List[List]) -> None:
-        pass  # history-driven samplers read back via ask(history)
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +468,14 @@ class QMCSampler(_AdaptiveBase):
             pass
         self._cursor = 0
 
-    def ask(self, history) -> Optional[List[AskBatch]]:
+    def ask(self, history) -> Optional[AskBatch]:
         points = self.space.budget.coarse_evals_per_structure
         for _ in range(len(self._order)):
             sig = self._order[self._cursor % len(self._order)]
             self._cursor += 1
             batch = self._batch(sig, points, level="coarse")
             if batch is not None:
-                return [batch]
+                return batch
         return None  # every structure's stream is exhausted
 
 
@@ -541,19 +525,19 @@ class TPESampler(_AdaptiveBase):
             self._startup = list(self._order)
 
     # -- ask ------------------------------------------------------------
-    def ask(self, history) -> Optional[List[AskBatch]]:
+    def ask(self, history) -> Optional[AskBatch]:
         if self._startup:
             sig = self._startup.pop(0)
             batch = self._batch(sig, self.startup_points, level="coarse")
             if batch is not None:
-                return [batch]
+                return batch
             return self.ask(history)
         if self.rng.random() < self.epsilon_new:
             sig = self._add_random()
             if sig is not None:
                 batch = self._batch(sig, self.startup_points, level="coarse")
                 if batch is not None:
-                    return [batch]
+                    return batch
         by_sig = self._records_by_structure(history)
         sig = self._pick_structure(by_sig)
         if sig is None:
@@ -566,7 +550,7 @@ class TPESampler(_AdaptiveBase):
             # Stream exhausted: retire the structure and move on.
             self._order.remove(sig)
             return self.ask(history) if self._order else None
-        return [batch]
+        return batch
 
     # -- internals ------------------------------------------------------
     def _records_by_structure(self, history) -> Dict[Tuple, List]:
@@ -650,152 +634,3 @@ class TPESampler(_AdaptiveBase):
                     counts[fine.index(value)] += 1.0
             out.append(counts / counts.sum())
         return out
-
-
-# ---------------------------------------------------------------------------
-# Double Thompson Sampling dueling bandit
-# ---------------------------------------------------------------------------
-
-@register_sampler
-class DTSSampler(_AdaptiveBase):
-    """D-TS dueling bandit over design combos (arms = structures).
-
-    Candidates here are naturally *compared* on measured GFLOPS rather
-    than scored on an absolute scale, which is precisely the dueling-
-    bandit setting.  Each adaptive ask runs the two D-TS selections —
-    champion by sampled Copeland score among the upper-confidence winners,
-    challenger by sampled beat-probability among plausible beaters — and
-    spends the next evaluation batch on *both* arms' fresh candidates; the
-    better measured batch wins the duel and updates the Beta-posterior
-    win matrix.
-    """
-
-    name = "dts"
-
-    #: points per arm in the startup round-robin.
-    startup_points = 3
-    #: fresh points per duel arm.
-    duel_points = 3
-    #: UCB/LCB exploration constant (alpha of the D-TS paper).
-    ts_alpha = 0.6
-    #: random arms added beyond the archetype seeds.
-    extra_arms = 4
-
-    def begin(self, space, rng, seed) -> None:
-        super().begin(space, rng, seed)
-        for _ in range(self.extra_arms):
-            if self._add_random() is None:
-                break
-        n = len(self._order)
-        self._wins = np.zeros((n, n), dtype=np.float64)
-        self._alive = [True] * n
-        self._initialised = [False] * n
-        self._duels = 0
-        self._pending: Optional[Tuple[int, int]] = None
-
-    # -- ask ------------------------------------------------------------
-    def ask(self, history) -> Optional[List[AskBatch]]:
-        # Startup: one batch per arm so every duel has a measurement.
-        for i, done in enumerate(self._initialised):
-            if done or not self._alive[i]:
-                continue
-            batch = self._batch(self._order[i], self.startup_points, "coarse")
-            self._initialised[i] = True
-            if batch is None:
-                self._alive[i] = False
-                continue
-            self._pending = None
-            return [batch]
-        alive = [i for i, a in enumerate(self._alive) if a]
-        if not alive:
-            return None
-        if len(alive) == 1:
-            batch = self._arm_batch(alive[0])
-            self._pending = None
-            return [batch] if batch else None
-        first, second = self._select(alive)
-        batches, arms = [], []
-        for arm in (first, second):
-            batch = self._arm_batch(arm)
-            if batch is not None:
-                batches.append(batch)
-                arms.append(arm)
-        if not batches:
-            return None
-        self._pending = tuple(arms) if len(arms) == 2 else None
-        return batches
-
-    def _arm_batch(self, arm: int) -> Optional[AskBatch]:
-        batch = self._batch(self._order[arm], self.duel_points, level="fine")
-        if batch is None:
-            self._alive[arm] = False
-        return batch
-
-    # -- D-TS selection --------------------------------------------------
-    def _select(self, alive: List[int]) -> Tuple[int, int]:
-        B = self._wins
-        t = self._duels + 1
-        N = B + B.T
-        safe_n = np.maximum(N, 1.0)
-        mean = np.where(N > 0, B / safe_n, 0.5)
-        bonus = np.sqrt(self.ts_alpha * np.log(max(t, 2)) / safe_n)
-        ucb = np.where(N > 0, mean + bonus, 1.0)
-        lcb = np.where(N > 0, mean - bonus, 0.0)
-        np.fill_diagonal(ucb, 0.5)
-        np.fill_diagonal(lcb, 0.5)
-
-        # Selection 1: champion among upper-confidence Copeland winners,
-        # ranked by sampled Copeland score.
-        cop_ub = [
-            sum(1 for j in alive if j != i and ucb[i, j] >= 0.5)
-            for i in alive
-        ]
-        contenders = [
-            arm for arm, score in zip(alive, cop_ub) if score == max(cop_ub)
-        ]
-        theta = np.full_like(B, 0.5)
-        for ai, i in enumerate(alive):
-            for j in alive[ai + 1:]:
-                theta[i, j] = self.rng.beta(B[i, j] + 1.0, B[j, i] + 1.0)
-                theta[j, i] = 1.0 - theta[i, j]
-        sampled_cop = {
-            i: sum(1 for j in alive if j != i and theta[i, j] > 0.5)
-            for i in contenders
-        }
-        best = max(sampled_cop.values())
-        first = int(
-            self.rng.choice([i for i, s in sampled_cop.items() if s == best])
-        )
-
-        # Selection 2: challenger = sampled most-likely beater of the
-        # champion among arms not confidently beaten already.
-        theta2 = {
-            j: float(self.rng.beta(B[j, first] + 1.0, B[first, j] + 1.0))
-            for j in alive
-            if j != first
-        }
-        plausible = {
-            j: v for j, v in theta2.items() if lcb[j, first] <= 0.5
-        } or theta2
-        best2 = max(plausible.values())
-        second = int(
-            self.rng.choice([j for j, v in plausible.items() if v == best2])
-        )
-        return first, second
-
-    # -- tell ------------------------------------------------------------
-    def tell(self, batches: List[AskBatch], records: List[List]) -> None:
-        if self._pending is None or len(records) != 2:
-            return
-        a1, a2 = self._pending
-        self._pending = None
-        best1 = max((r.gflops for r in records[0]), default=0.0)
-        best2 = max((r.gflops for r in records[1]), default=0.0)
-        self._duels += 1
-        if best1 > best2:
-            self._wins[a1, a2] += 1.0
-        elif best2 > best1:
-            self._wins[a2, a1] += 1.0
-        else:
-            self._wins[a1, a2] += 0.5
-            self._wins[a2, a1] += 0.5

