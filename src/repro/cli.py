@@ -57,9 +57,11 @@ append-only store backend built for multi-process serving.
 candidate designs, compares the chain analysis's verdicts against the
 dynamic validator (any disagreement is a ``CHECK-UNSOUND`` error) and
 lints every kernel the valid designs generate.  With ``--store DIR`` it
-instead audits a persisted design store (entry integrity, decoded
-graphs, embedded kernel sources).  Exit status 1 on any error-severity
-finding, so CI can gate on it.
+instead audits a persisted design store (entry and artifact-blob
+integrity, decoded graphs, stored kernel sources).  Exit status 1 on any
+error-severity finding, so CI can gate on it.  A command that raises a
+coded :class:`~repro.errors.DiagnosableError` (a malformed Matrix Market
+file, say) prints ``CODE: message`` to stderr and exits 2.
 
 ``--workload`` (search/bench/serve/baselines/check) selects the operation
 being tuned/measured — ``spmv`` (default), ``spmm4``/``spmm16`` (dense
@@ -79,6 +81,7 @@ from repro.analysis import render_search_summary, render_table
 from repro.baselines import PFS_MEMBERS, PerfectFormatSelector, get_baseline
 from repro.bench import CorpusRunner, ResultStore, render_corpus_report
 from repro.core.operators import OPERATOR_REGISTRY, Stage
+from repro.errors import DiagnosableError
 from repro.export import export_program, write_artifact
 from repro.gpu import gpu_by_name
 from repro.search import SearchBudget, SearchEngine
@@ -158,9 +161,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _record_search_result(engine, matrix, result, args) -> None:
-    """Persist one finished CLI search to the design store (result entry
-    with the exported artifact inline, so ``serve`` answers it exactly),
-    under the engine workload's scoped key."""
+    """Persist one finished CLI search to the design store (result record
+    plus its exported artifact as a blob, so ``serve`` answers it
+    exactly), under the engine workload's scoped key."""
     if engine.store is None or result.best_graph is None:
         return
     engine.store.put_result(
@@ -348,6 +351,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_serve_budget(), max_total_evals=args.evals
     )
     summary = ""
+    store = open_store(args.store, backend=args.backend)
     if args.workers > 0:
         with ResolverPool(gpu, args.store, workers=args.workers,
                           backend=args.backend, budget=budget,
@@ -360,7 +364,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    f"{pstats.restarts} restarts / "
                    f"{pstats.degraded} degraded")
     else:
-        store = open_store(args.store, backend=args.backend)
         with Frontend(gpu, store, budget=budget, seed=args.seed,
                       workload=args.workload) as frontend:
             responses = frontend.resolve_batch(matrices)
@@ -396,15 +399,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.out:
         used_dirs: set = set()
         for i, response in enumerate(responses):
-            if response.artifact is None:
+            artifact = response.artifact
+            if artifact is None:  # an exact hit names its stored blob
+                artifact = store.load_artifact(response.artifact_digest)
+            if artifact is None:
                 continue
             sub = response.matrix_name or f"matrix{i}"
             if sub in used_dirs:
                 sub = f"{sub}-{i}"
             used_dirs.add(sub)
-            manifest = write_artifact(
-                response.artifact, os.path.join(args.out, sub)
-            )
+            manifest = write_artifact(artifact, os.path.join(args.out, sub))
             print(f"{response.matrix_name}: artifact exported: {manifest}")
     return 0 if any(r.ok for r in responses) else 1
 
@@ -451,13 +455,16 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 print(f"quarantined {name}: {reason}")
         return 1 if bad else 0
     # gc
-    removed_corrupt, removed_designs = store.gc()
+    removed_corrupt, removed_legacy, removed_blobs = store.gc()
     for name in removed_corrupt:
         print(f"removed corrupt entry {name}")
-    for name in removed_designs:
-        print(f"removed legacy design entry {name}")
+    for name in removed_legacy:
+        print(f"removed legacy entry {name}")
+    for name in removed_blobs:
+        print(f"removed unreferenced artifact {name}")
     print(f"gc: {len(removed_corrupt)} corrupt + "
-          f"{len(removed_designs)} legacy design entries removed, "
+          f"{len(removed_legacy)} legacy entries removed, "
+          f"{len(removed_blobs)} unreferenced artifacts removed, "
           f"{len(store)} kept")
     return 0
 
@@ -818,9 +825,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("action", choices=("ls", "gc", "verify", "compact"),
                    help="ls: list entries; gc: prune corrupt entries, "
-                        "claims and legacy design entries; verify: "
-                        "integrity-check "
-                        "every entry (exit 1 on corruption); compact: "
+                        "claims, unreferenced artifact blobs and legacy "
+                        "design entries and sidecars; verify: "
+                        "integrity-check every entry and the artifact "
+                        "blob it names (exit 1 on corruption); compact: "
                         "fold a journal-backend store into a snapshot "
                         "and reset its log")
     p.add_argument("path", help="design-store directory")
@@ -838,8 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--store", default=None, metavar="DIR",
                    help="audit this design store instead of the search "
-                        "space (entry integrity, decoded graphs, embedded "
-                        "kernel sources)")
+                        "space (entry and artifact-blob integrity, "
+                        "decoded graphs, stored kernel sources)")
     p.add_argument("--matrix", default=None, metavar="SPEC",
                    help="probe matrix (path or @named) for the differential "
                         "check; default: built-in synthetic probes")
@@ -876,9 +884,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command.  A coded :class:`~repro.errors.DiagnosableError`
+    (a malformed Matrix Market file, say) ends it with ``CODE: message``
+    on stderr and exit status 2, never a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DiagnosableError as exc:
+        print(f"{exc.code}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -22,6 +22,7 @@ INTERLEAVED_STORAGE transposed the layout.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -217,8 +218,6 @@ class KernelBuilder:
                 storage_run_length=run_length,
                 value_bytes=8 if self.precision == "fp64" else 4,
                 label=label,
-                analysis=None,
-                cost_key=None,
             )
         dist = analysis.distribution(
             {"tpb": meta.threads_per_block, "grid": meta.grid_threads},
@@ -246,7 +245,7 @@ class KernelBuilder:
                 storage_run_length=dist.run_length,
                 value_bytes=8 if self.precision == "fp64" else 4,
                 label=label,
-                analysis=analysis,
+                analysis_ref=weakref.ref(analysis),
                 cost_key=cost_key,
             )
 

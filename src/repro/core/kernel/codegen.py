@@ -13,11 +13,7 @@ import re
 from typing import List, Optional
 
 from repro.core.format import MachineDesignedFormat
-from repro.core.kernel.fragments import (
-    REDUCTION_OUTPUT_SPACE,
-    adapter_between,
-    reduction_fragment,
-)
+from repro.core.kernel.fragments import adapter_between, reduction_fragment
 from repro.core.kernel.skeleton import KernelSkeleton, LoopLevel
 from repro.core.metadata import MatrixMetadataSet
 from repro.gpu.executor import ExecutionPlan

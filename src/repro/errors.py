@@ -51,6 +51,11 @@ __all__ = [
     "STORE_BAD_WORKLOAD",
     "STORE_QUARANTINED",
     "STORE_TAIL_LOST",
+    "MM_HEADER",
+    "MM_SIZE_LINE",
+    "MM_ENTRY",
+    "MM_ENTRY_COUNT",
+    "MM_INDEX_RANGE",
     "CHECK_UNSOUND",
     "code_of",
 ]
@@ -96,6 +101,19 @@ STORE_QUARANTINED = "STORE-QUARANTINED"
 #: a journal-backend store lost records after a mid-log framing corruption
 #: (everything before the damage replays; compaction reclaims the file)
 STORE_TAIL_LOST = "STORE-TAIL-LOST"
+
+# --- Matrix Market input (repro.sparse.io.MatrixMarketError) ---------------
+#: missing or malformed ``%%MatrixMarket`` header, or an object, format,
+#: field or symmetry outside the supported subset
+MM_HEADER = "MM-HEADER"
+#: missing, malformed or invalid size line
+MM_SIZE_LINE = "MM-SIZE-LINE"
+#: an entry line with too few fields or an unparsable index or value
+MM_ENTRY = "MM-ENTRY"
+#: more or fewer entries than the size line declares
+MM_ENTRY_COUNT = "MM-ENTRY-COUNT"
+#: a 1-based index outside the declared dimensions
+MM_INDEX_RANGE = "MM-INDEX-RANGE"
 
 # --- the checker checking itself (differential self-test) ------------------
 CHECK_UNSOUND = "CHECK-UNSOUND"

@@ -41,6 +41,7 @@ shared across the whole runtime-parameter grid.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -150,9 +151,14 @@ class ExecutionPlan:
     #: bytes per matrix/x/y value (4 = fp32, 8 = fp64)
     value_bytes: int = 4
     label: str = ""
-    #: per-leaf analysis (:class:`repro.gpu.analysis.LeafAnalysis`)
-    #: attached by the staged builds; None = standalone plan.
-    analysis: Optional[object] = field(default=None, repr=False, compare=False)
+    #: weak reference to the per-leaf analysis
+    #: (:class:`repro.gpu.analysis.LeafAnalysis`) attached by the staged
+    #: builds; None = standalone plan.  Weak because the analysis memoises
+    #: this plan and its kernel unit: a strong reference back would make
+    #: every analysed plan a cycle that only the cyclic collector frees.
+    analysis_ref: Optional[weakref.ref] = field(
+        default=None, repr=False, compare=False
+    )
     #: content key of the thread distribution (``(digest, n_threads, tpb)``)
     #: used to share cost projections across runtime assignments.
     cost_key: Optional[Tuple] = field(default=None, repr=False, compare=False)
@@ -185,6 +191,13 @@ class ExecutionPlan:
             raise ValueError("plan needs at least a global reduction step")
         if self.reduction_steps[-1].level != "global":
             raise ValueError("last reduction step must be global")
+
+    @property
+    def analysis(self) -> Optional[object]:
+        """The plan's leaf analysis while whoever owns it (a search's
+        state, a built program) keeps it alive; None otherwise."""
+        ref = self.analysis_ref
+        return None if ref is None else ref()
 
     # Convenience geometry -------------------------------------------------
     @property

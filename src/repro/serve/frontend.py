@@ -8,7 +8,10 @@ tiers, cheapest first:
 
 1. **Exact store hit** — the :class:`~repro.store.design.DesignStore`
    already holds a finished result for this exact matrix content on this
-   arch: answer straight from the stored artifact, zero computation.
+   arch: answer straight from its ~1 KB record (graph, GFLOPS and the
+   ``artifact_digest`` of its artifact blob), zero computation.  The
+   blob itself is never read here; a caller that materialises the
+   artifact loads it with the store's ``load_artifact``.
 2. **Feature-signature nearest neighbour** — find the stored result whose
    matrix statistics (the same sparsity features the pruning rules and the
    GBT cost model condition on, log-scaled; see
@@ -48,8 +51,6 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.designer import DesignError
 from repro.core.graph import GraphValidationError, OperatorGraph
@@ -167,7 +168,10 @@ class ServeResponse:
     on this matrix) or ``"miss"`` (the bounded search found no valid
     design — raise the budget or search offline).  ``artifact`` is the
     :func:`repro.export.program_payload` dict; materialise it with
-    :func:`repro.export.write_artifact`.
+    :func:`repro.export.write_artifact`.  An exact hit leaves it None and
+    names the stored blob in ``artifact_digest`` instead: load it with
+    the store's ``load_artifact`` (records written before artifacts were
+    split off still carry it inline, and then ``artifact`` is set).
     """
 
     matrix_name: str
@@ -175,6 +179,8 @@ class ServeResponse:
     gflops: float
     graph: Optional[OperatorGraph] = None
     artifact: Optional[Dict] = field(default=None, repr=False)
+    #: the store's artifact blob for this answer (None: none stored)
+    artifact_digest: Optional[str] = None
     neighbour_of: str = ""
     evaluations: int = 0
     wall_time_s: float = 0.0
@@ -268,18 +274,20 @@ class Frontend:
                 metas = self._metas
         return metas
 
-    def _record_result(self, token: Tuple, record: Dict) -> None:
-        """Persist one result under the workload-scoped key.
+    def _record_result(self, token: Tuple, record: Dict) -> Optional[str]:
+        """Persist one result under the workload-scoped key; returns the
+        stored artifact blob's digest.
 
         ``token`` is the *raw* matrix token everywhere in this class;
         scoping happens only at the store boundary (here and in
         :meth:`_from_store`), so self-exclusion and seed derivation keep
         using the plain matrix digest.
         """
-        self.store.put_result(
+        digest = self.store.put_result(
             self.workload.scope_token(token), self.arch, record
         )
         self.refresh()
+        return digest
 
     def _count(self, tier: str) -> None:
         with self._lock:
@@ -458,6 +466,7 @@ class Frontend:
             gflops=float(record["best_gflops"]),
             graph=OperatorGraph.from_dict(record["graph"]),
             artifact=record.get("artifact"),
+            artifact_digest=record.get("artifact_digest"),
             neighbour_of=record.get("neighbour_of", ""),
         )
 
@@ -486,13 +495,14 @@ class Frontend:
             neighbour_of=donor_name,
             workload=self.workload.name,
         )
-        self._record_result(token, record)
+        artifact_digest = self._record_result(token, record)
         return ServeResponse(
             matrix_name=matrix.name,
             source="neighbour",
             gflops=gflops,
             graph=graph,
             artifact=record["artifact"],
+            artifact_digest=artifact_digest,
             neighbour_of=donor_name,
             evaluations=1,
         )
@@ -503,9 +513,8 @@ class Frontend:
         """The stored result with the closest feature signature (excluding
         the matrix itself), deterministically tie-broken.
 
-        Ranking walks only the store's lightweight ``.meta`` sidecars —
-        O(results) small reads — and decodes the one chosen donor's full
-        record (artifact included) at the end.  The ranking rule itself is
+        Ranking walks the store's result records — O(results) reads of
+        ~1 KB — and never an artifact blob.  The ranking rule itself is
         :func:`repro.store.records.nearest_result_digest`, shared with the
         engine's cross-matrix warm start."""
         digest = nearest_result_digest(
@@ -567,7 +576,7 @@ class Frontend:
             seed=seed,
             include_artifact=self.include_artifacts,
         )
-        self._record_result(token, record)
+        artifact_digest = self._record_result(token, record)
         self._count("searches")
         return ServeResponse(
             matrix_name=matrix.name,
@@ -575,5 +584,6 @@ class Frontend:
             gflops=result.best_gflops,
             graph=result.best_graph,
             artifact=record["artifact"],
+            artifact_digest=artifact_digest,
             evaluations=result.total_evaluations,
         )

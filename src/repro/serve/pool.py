@@ -36,6 +36,12 @@ I/O errors.  The design:
   claim fence), bottoming out at an explicit ``DEGRADED`` response.  The
   pool therefore answers **every** request, always; the counters in
   :class:`PoolStats` say how gracefully.
+* **Artifacts by digest** — a worker's answer names its stored artifact
+  blob (``artifact_digest``) instead of shipping the artifact through the
+  pipe; with ``include_artifacts`` the parent loads each answer's blob
+  from the shared store (the store's ``load_artifact``) before returning
+  it.  Only answers from records written before artifacts were split off
+  carry the artifact inline.
 
 Fault injection (:class:`~repro.reliability.faults.FaultPlan`) is shipped
 to every worker, which derives the same deterministic schedule: a
@@ -99,13 +105,15 @@ class PoolStats:
 
 
 def _response_doc(response: ServeResponse) -> Dict:
-    """Pipe-safe dict form of a response (graph as its dict encoding)."""
+    """Pipe-safe dict form of a response (graph as its dict encoding).  A
+    stored artifact travels as its blob digest; the parent loads it."""
     return {
         "matrix_name": response.matrix_name,
         "source": response.source,
         "gflops": response.gflops,
         "graph": None if response.graph is None else response.graph.to_dict(),
-        "artifact": response.artifact,
+        "artifact": None if response.artifact_digest else response.artifact,
+        "artifact_digest": response.artifact_digest,
         "neighbour_of": response.neighbour_of,
         "evaluations": response.evaluations,
         "wall_time_s": response.wall_time_s,
@@ -121,6 +129,7 @@ def _response_from_doc(doc: Dict) -> ServeResponse:
         gflops=doc["gflops"],
         graph=None if graph is None else OperatorGraph.from_dict(graph),
         artifact=doc.get("artifact"),
+        artifact_digest=doc.get("artifact_digest"),
         neighbour_of=doc.get("neighbour_of", ""),
         evaluations=doc.get("evaluations", 0),
         wall_time_s=doc.get("wall_time_s", 0.0),
@@ -289,8 +298,9 @@ class ResolverPool:
             workers * 3 if max_restarts is None else max_restarts
         )
         self.faults = faults
-        # the store must exist before workers race to open it
-        open_store(self.store_path, backend=backend)
+        # the store must exist before workers race to open it; this handle
+        # loads the artifacts the workers' answers name
+        self._store = open_store(self.store_path, backend=backend)
         self._ctx = mp.get_context("fork")
         self._heartbeat = self._ctx.Array("d", [0.0] * workers)
         self._slots: List[_Slot] = [_Slot() for _ in range(workers)]
@@ -427,7 +437,14 @@ class ResolverPool:
             if len(answers) < len(matrices):
                 time.sleep(0.005)
         self._bump(answered=len(matrices))
-        return [answers[req_id] for req_id in range(len(matrices))]
+        responses = [answers[req_id] for req_id in range(len(matrices))]
+        if self.include_artifacts:
+            for response in responses:
+                if response.artifact is None:
+                    response.artifact = self._store.load_artifact(
+                        response.artifact_digest
+                    )
+        return responses
 
     # ------------------------------------------------------------------
     def _assign(

@@ -16,13 +16,22 @@ from typing import TextIO, Union
 
 import numpy as np
 
+from repro.errors import (
+    MM_ENTRY,
+    MM_ENTRY_COUNT,
+    MM_HEADER,
+    MM_INDEX_RANGE,
+    MM_SIZE_LINE,
+    DiagnosableError,
+)
 from repro.sparse.matrix import SparseMatrix
 
 __all__ = ["read_matrix_market", "write_matrix_market", "MatrixMarketError"]
 
 
-class MatrixMarketError(ValueError):
-    """Raised for malformed Matrix Market content."""
+class MatrixMarketError(DiagnosableError):
+    """Raised for malformed Matrix Market content; ``code`` names the
+    defect (``MM-*`` in :mod:`repro.errors`).  Still a ``ValueError``."""
 
 
 _SUPPORTED_FIELDS = {"real", "integer", "pattern", "double"}
@@ -51,37 +60,48 @@ def read_matrix_market(source: Union[str, os.PathLike, TextIO]) -> SparseMatrix:
     try:
         header = handle.readline()
         if not header.startswith("%%MatrixMarket"):
-            raise MatrixMarketError("missing %%MatrixMarket header")
+            raise MatrixMarketError(
+                "missing %%MatrixMarket header", code=MM_HEADER
+            )
         parts = header.strip().split()
         if len(parts) < 5:
-            raise MatrixMarketError(f"malformed header: {header!r}")
+            raise MatrixMarketError(
+                f"malformed header: {header!r}", code=MM_HEADER
+            )
         _, obj, fmt, field, symmetry = parts[:5]
         obj, fmt = obj.lower(), fmt.lower()
         field, symmetry = field.lower(), symmetry.lower()
         if obj != "matrix" or fmt != "coordinate":
             raise MatrixMarketError(
-                f"only 'matrix coordinate' supported, got {obj!r} {fmt!r}"
+                f"only 'matrix coordinate' supported, got {obj!r} {fmt!r}",
+                code=MM_HEADER,
             )
         if field not in _SUPPORTED_FIELDS:
-            raise MatrixMarketError(f"unsupported field {field!r}")
+            raise MatrixMarketError(
+                f"unsupported field {field!r}", code=MM_HEADER
+            )
         if symmetry not in _SUPPORTED_SYMMETRY:
-            raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
+            raise MatrixMarketError(
+                f"unsupported symmetry {symmetry!r}", code=MM_HEADER
+            )
 
         for number, line in enumerate(handle, start=2):
             if line.strip() and not line.startswith("%"):
                 break
         else:
-            raise MatrixMarketError("missing size line")
+            raise MatrixMarketError("missing size line", code=MM_SIZE_LINE)
         try:
             n_rows, n_cols, nnz = (int(p) for p in line.split())
         except ValueError:
             raise MatrixMarketError(
-                f"line {number}: malformed size line {line.strip()!r}"
+                f"line {number}: malformed size line {line.strip()!r}",
+                code=MM_SIZE_LINE,
             ) from None
         if n_rows <= 0 or n_cols <= 0 or nnz < 0:
             raise MatrixMarketError(
                 f"invalid size line {n_rows} {n_cols} {nnz}: dimensions "
-                "must be positive and nnz non-negative"
+                "must be positive and nnz non-negative",
+                code=MM_SIZE_LINE,
             )
 
         pattern = field == "pattern"
@@ -92,7 +112,8 @@ def read_matrix_market(source: Union[str, os.PathLike, TextIO]) -> SparseMatrix:
                 continue
             if len(vals) >= nnz:
                 raise MatrixMarketError(
-                    f"line {number}: more entries than declared nnz {nnz}"
+                    f"line {number}: more entries than declared nnz {nnz}",
+                    code=MM_ENTRY_COUNT,
                 )
             try:
                 rows.append(int(entry[0]) - 1)
@@ -100,11 +121,13 @@ def read_matrix_market(source: Union[str, os.PathLike, TextIO]) -> SparseMatrix:
                 vals.append(1.0 if pattern else float(entry[2]))
             except (IndexError, ValueError, OverflowError):
                 raise MatrixMarketError(
-                    f"line {number}: malformed entry {line.strip()!r}"
+                    f"line {number}: malformed entry {line.strip()!r}",
+                    code=MM_ENTRY,
                 ) from None
         if len(vals) != nnz:
             raise MatrixMarketError(
-                f"declared {nnz} entries but found {len(vals)}"
+                f"declared {nnz} entries but found {len(vals)}",
+                code=MM_ENTRY_COUNT,
             )
         rows = np.array(rows, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
@@ -118,7 +141,8 @@ def read_matrix_market(source: Union[str, os.PathLike, TextIO]) -> SparseMatrix:
                 bad = idx[(idx < 0) | (idx >= bound)][0]
                 raise MatrixMarketError(
                     f"{label} index {int(bad) + 1} outside declared range "
-                    f"1..{bound}"
+                    f"1..{bound}",
+                    code=MM_INDEX_RANGE,
                 )
 
         if symmetry in ("symmetric", "skew-symmetric"):

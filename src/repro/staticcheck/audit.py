@@ -2,11 +2,13 @@
 
 The store outlives the code that wrote it, so this pass replays the other
 two static passes over everything it persisted: entry integrity (the
-store's own ``verify``), decoded result graphs re-judged by the chain
-analysis against the live operator registry, and every kernel source
-embedded in a result artifact run through the lint.  Either backend
-audits the same way.  ``python -m repro check --store`` exits non-zero
-on any error-severity finding.
+store's own ``verify``, records and the artifact blobs they name),
+decoded result graphs re-judged by the chain analysis against the live
+operator registry, and every kernel source in a result's artifact run
+through the lint.  Artifacts load through the store's ``load_artifact``
+(records written before artifacts were split off carry theirs inline).
+Either backend audits the same way.  ``python -m repro check --store``
+exits non-zero on any error-severity finding.
 """
 
 from __future__ import annotations
@@ -104,7 +106,10 @@ def audit_store(store) -> List[Diagnostic]:
                             diag.code, diag.severity, diag.message, node=label
                         )
                     )
-        artifact = record.get("artifact")
+        if "artifact" in record:
+            artifact = record["artifact"]
+        else:
+            artifact = store.load_artifact(record.get("artifact_digest"))
         if isinstance(artifact, dict):
             for kernel in artifact.get("kernels", []):
                 source = kernel.get("source_text")

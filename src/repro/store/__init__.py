@@ -2,16 +2,24 @@
 
 Turns one-time search output into durable, content-addressed artifacts:
 one result entry per ``(matrix, arch)`` — the winning graph, its GFLOPS,
-feature signature and exported artifact — lets the serving layer answer
-without searching.  Searches themselves never touch a store: they design
-in memory, and only their finished results are written.
+feature signature and search metadata — lets the serving layer answer
+without searching.  Each entry is two objects: a ~1 KB record, and the
+exported artifact as a blob under ``artifacts/`` named by the blake2b of
+its bytes (:mod:`repro.store.artifacts`).  Exact hits and neighbour
+ranking read records only; callers that use the artifact (``serve
+--out``, the resolver pool's parent, the static audit, ``store verify``)
+load it with ``load_artifact``.  Searches themselves never touch a store:
+they design in memory, and only their finished results are written.
 
 Two interchangeable backends hold bit-identical content:
 
-* ``dir`` (:class:`DesignStore`) — one file per entry, atomic replace.
+* ``dir`` (:class:`DesignStore`) — one file per record, atomic replace.
 * ``journal`` (:class:`~repro.store.journal.JournalStore`) — crash-safe
-  append-only log with checksummed records, multi-writer file locking,
+  append-only log of checksummed records, multi-writer file locking,
   and snapshot compaction (the serving backend).
+
+Both keep artifact blobs in the same ``artifacts/`` tree, written before
+the record that names them.
 
 :func:`open_store` dispatches on the store header so callers never need
 to know which backend wrote a directory.

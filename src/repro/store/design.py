@@ -6,21 +6,26 @@ process.  The :class:`DesignStore` persists the one output worth keeping:
 
 **Result entries** hold one finished search per ``(matrix, arch)``: the
 winning Operator Graph, its measured GFLOPS, the matrix's feature
-signature (nearest-neighbour serving) and the exported artifact payload
-(everything :func:`repro.export.export_program` writes, inline).  A
-stored matrix is answered from its result record; nothing the Designer
-produces on the way is persisted — the search rebuilds any intermediate
-design in milliseconds, far less than writing it would cost.
+signature (nearest-neighbour serving), search metadata and the
+``artifact_digest`` of its exported artifact.  The artifact itself
+(everything :func:`repro.export.export_program` writes) is a
+content-addressed blob of its own (:mod:`repro.store.artifacts`), so a
+record is ~1 KB and an exact hit reads nothing else.  Nothing the
+Designer produces on the way is persisted — the search rebuilds any
+intermediate design in milliseconds, far less than writing it would cost.
 
 Layout — one directory, sharded one-file-per-entry::
 
-    <root>/store.json            header: {"schema": N, "kind": "design-store"}
-    <root>/results/<digest>.json
-    <root>/results/<digest>.meta  nearest-neighbour sidecar
-    <root>/claims/<digest>.json   at-most-once search fences
+    <root>/store.json              header: {"schema": N, "kind": "design-store"}
+    <root>/results/<digest>.json   result record (names its artifact blob)
+    <root>/artifacts/<blake2b>.json  artifact, named by its raw bytes' digest
+    <root>/claims/<digest>.json    at-most-once search fences
 
-Stores written by earlier revisions may also hold a ``designs/`` tree of
-Designer outputs; nothing reads it, and :meth:`DesignStore.gc` deletes it.
+``put_result`` writes the blob before the record, so a record never names
+a blob that was not written.  Stores written by earlier revisions may
+hold records with the artifact inline (they keep serving it), ``.meta``
+sidecars next to the records and a ``designs/`` tree of Designer outputs;
+nothing reads the last two, and :meth:`DesignStore.gc` deletes them.
 
 Every write goes through a temp file + ``os.replace`` (the
 ``bench.ResultStore`` atomicity pattern), and distinct keys live in
@@ -36,6 +41,8 @@ a ``corrupt/`` sibling directory (``STORE-QUARANTINED`` in the
 :mod:`repro.errors` taxonomy) — so the store never re-reads known damage,
 a later write of the same key heals cleanly, and the evidence survives for
 post-mortems; ``verify --repair`` quarantines in bulk and ``gc`` prunes.
+A damaged artifact blob is quarantined the same way when a caller loads
+it (:meth:`~repro.store.artifacts.BlobBackedStore.load_artifact`).
 
 An alternative *journal* backend with the same read/write surface —
 append-only log, multi-writer file locking, crash recovery, compaction —
@@ -54,6 +61,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.reliability.faults import FaultInjector, FaultPlan
+from repro.store.artifacts import QUARANTINE, ArtifactBlobs, BlobBackedStore
 from repro.store.codec import key_digest, payload_digest
 from repro.store.errors import StoreError, StoreVersionError
 
@@ -72,7 +80,8 @@ _HEADER = "store.json"
 _RESULTS = "results"
 #: Designer-output tree of stores written by earlier revisions (gc deletes it)
 _LEGACY_DESIGNS = "designs"
-_QUARANTINE = "corrupt"
+#: nearest-neighbour sidecars of stores written by earlier revisions
+_LEGACY_META = ".meta"
 _CLAIMS = "claims"
 
 
@@ -106,7 +115,8 @@ def result_entry_doc(token: Tuple, arch: str, record: Dict) -> Dict[str, object]
 
 
 def result_meta_doc(arch: Optional[str], record: Dict) -> Dict:
-    """Lightweight nearest-neighbour metadata derived from one record."""
+    """Nearest-neighbour metadata derived from one record (the rows
+    :meth:`DesignStore.result_metas` ranks donors on)."""
     meta = {
         "schema": SCHEMA_VERSION,
         "arch": arch,
@@ -118,8 +128,8 @@ def result_meta_doc(arch: Optional[str], record: Dict) -> Dict:
         "has_graph": record.get("graph") is not None,
     }
     if "workload" in record:
-        # Absent == spmv (matching the record convention), so sidecars
-        # of pre-workload-layer stores stay byte-identical.
+        # Absent == spmv (matching the record convention), so metas of
+        # pre-workload-layer records stay identical.
         meta["workload"] = record["workload"]
     return meta
 
@@ -156,6 +166,8 @@ class EntryStatus:
     arch: str
     detail: str
     bytes: int
+    #: the artifact blob the entry's record names (None: none)
+    artifact_digest: Optional[str] = None
 
 
 class _CorruptEntry(Exception):
@@ -164,7 +176,7 @@ class _CorruptEntry(Exception):
         self.reason = reason
 
 
-class DesignStore:
+class DesignStore(BlobBackedStore):
     """On-disk content-addressed store of finished search results."""
 
     def __init__(
@@ -222,6 +234,7 @@ class DesignStore:
         else:
             raise StoreError(f"no design store at {self.path!r}")
         os.makedirs(os.path.join(self.path, _RESULTS), exist_ok=True)
+        self._blobs = ArtifactBlobs(self.path)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -310,17 +323,20 @@ class DesignStore:
         """
         rel = os.path.relpath(path, self.path)
         try:
-            directory = os.path.join(self.path, _QUARANTINE)
+            directory = os.path.join(self.path, QUARANTINE)
             os.makedirs(directory, exist_ok=True)
             os.replace(path, os.path.join(directory, os.path.basename(path)))
         except OSError:
             return False
+        self._log_quarantine(rel, reason)
+        return True
+
+    def _log_quarantine(self, rel: str, reason: str) -> None:
         with self._lock:
             self.quarantine_log.append((rel, reason))
             self._stats = replace(
                 self._stats, quarantined=self._stats.quarantined + 1
             )
-        return True
 
     def _read_or_quarantine(self, path: str) -> Optional[Dict]:
         """One entry read: the entry, or None after quarantining damage."""
@@ -351,7 +367,11 @@ class DesignStore:
         return key_digest("result", token, arch)
 
     def get_result(self, token: Tuple, arch: str) -> Optional[Dict]:
-        """The stored search result for ``(matrix, arch)``, or None."""
+        """The stored search record for ``(matrix, arch)``, or None.
+
+        One ~1 KB read: the record names its artifact by
+        ``artifact_digest``, and only :meth:`load_artifact` reads the blob.
+        """
         path = self._entry_path(self.result_digest(token, arch))
         if not os.path.exists(path):
             self._bump(result_misses=1)
@@ -367,66 +387,45 @@ class DesignStore:
         self._bump(result_hits=1)
         return entry["payload"]
 
-    def put_result(self, token: Tuple, arch: str, record: Dict) -> None:
+    def put_result(self, token: Tuple, arch: str, record: Dict) -> Optional[str]:
         """Persist (or overwrite) the finished search result for a matrix.
 
         Results are overwritten: a fresh full search may legitimately
-        replace a neighbour-transferred record with a better one.  A small
-        ``.meta`` sidecar (features, name, GFLOPS — no artifact) is written
-        next to the entry so nearest-neighbour scans never have to decode
-        full artifact payloads.
+        replace a neighbour-transferred record with a better one.  An
+        inline ``artifact`` is written first, as its own blob, and the
+        record stores its ``artifact_digest`` instead.  Returns that
+        digest (None: the record names no blob).
         """
         digest = self.result_digest(token, arch)
+        stored = self._put_record(record)
         self._atomic_write(
-            self._entry_path(digest), result_entry_doc(token, arch, record)
+            self._entry_path(digest), result_entry_doc(token, arch, stored)
         )
-        self._atomic_write(self._meta_path(digest), result_meta_doc(arch, record))
         self._bump(result_writes=1)
-
-    # -- lightweight result metadata (nearest-neighbour index) ----------
-    def _meta_path(self, digest: str) -> str:
-        return os.path.join(self.path, _RESULTS, f"{digest}.meta")
+        return stored.get("artifact_digest")
 
     def result_metas(self, arch: Optional[str] = None) -> List[Tuple[str, Dict]]:
-        """``(digest, meta)`` per stored result — the cheap scan the
-        serving frontend ranks neighbours on.  A missing or unreadable
-        sidecar self-heals from one full entry read (and is written back);
-        corrupt entries are skipped and counted."""
+        """``(digest, meta)`` per stored result — the scan the serving
+        frontend ranks neighbours on, one small record read each; corrupt
+        entries are skipped and counted."""
         out: List[Tuple[str, Dict]] = []
         for name in self._list(_RESULTS):
-            digest = name[: -len(".json")]
-            meta: Optional[Dict] = None
-            meta_path = self._meta_path(digest)
-            if os.path.exists(meta_path):
-                try:
-                    with open(meta_path, "r") as fh:
-                        candidate = json.load(fh)
-                    if (
-                        isinstance(candidate, dict)
-                        and candidate.get("schema") == SCHEMA_VERSION
-                    ):
-                        meta = candidate
-                except (OSError, json.JSONDecodeError):
-                    meta = None
-            if meta is None:
-                entry = self._read_or_quarantine(self._entry_path(digest))
-                if entry is None:
-                    continue
-                meta = result_meta_doc(entry.get("arch"), entry["payload"])
-                try:
-                    self._atomic_write(meta_path, meta)
-                except OSError:
-                    # Read-only store (multi-reader serving deployment):
-                    # serve from the in-memory meta, heal nothing.
-                    pass
-            if arch is not None and meta.get("arch") != arch:
+            entry = self._read_or_quarantine(
+                os.path.join(self.path, _RESULTS, name)
+            )
+            if entry is None:
                 continue
-            out.append((digest, meta))
+            if arch is not None and entry.get("arch") != arch:
+                continue
+            out.append(
+                (name[: -len(".json")],
+                 result_meta_doc(entry.get("arch"), entry["payload"]))
+            )
         return out
 
     def result_payload(self, digest: str) -> Optional[Dict]:
-        """Full (digest-verified) record behind one :meth:`result_metas`
-        row — loaded only for the chosen neighbour, never during ranking."""
+        """The (digest-verified) record behind one :meth:`result_metas`
+        row — read only for the chosen neighbour, never during ranking."""
         path = self._entry_path(digest)
         if not os.path.exists(path):
             return None
@@ -452,7 +451,11 @@ class DesignStore:
     # Maintenance (CLI: store ls / verify / gc)
     # ------------------------------------------------------------------
     def entries(self) -> List[EntryStatus]:
-        """Integrity status of every result entry file (``ls``/``verify``)."""
+        """Integrity status of every result entry file (``ls``/``verify``).
+
+        An entry is ok when its record and the artifact blob it names both
+        pass their digests; ``bytes`` counts the two together.
+        """
         out: List[EntryStatus] = []
         for name in self._list(_RESULTS):
             path = os.path.join(self.path, _RESULTS, name)
@@ -464,15 +467,19 @@ class DesignStore:
                     EntryStatus("result", name, False, "?", "?", exc.reason, size)
                 )
                 continue
+            payload = entry["payload"]
+            blob = payload.get("artifact_digest")
+            problem = self._artifact_problem(payload)
             out.append(
                 EntryStatus(
                     "result",
                     name,
-                    True,
+                    problem is None,
                     str(entry.get("matrix", {}).get("name") or "<unnamed>"),
                     str(entry.get("arch")),
-                    result_detail(entry["payload"]),
-                    size,
+                    problem or result_detail(payload),
+                    size + (self._blobs.size(blob) if blob else 0),
+                    blob,
                 )
             )
         return out
@@ -482,17 +489,21 @@ class DesignStore:
 
         With ``repair=True`` every failing entry is quarantined to
         ``corrupt/`` on the spot (the ``store verify --repair`` CLI path),
-        exactly as a read path would on first detection; the returned
-        statuses still describe the damage found.
+        exactly as a read path would on first detection, together with the
+        damaged artifact blob it names; the returned statuses still
+        describe the damage found.
         """
         statuses = self.entries()
         if repair:
             for status in statuses:
-                if not status.ok:
-                    self._quarantine(
-                        os.path.join(self.path, _RESULTS, status.filename),
-                        status.detail,
-                    )
+                if status.ok:
+                    continue
+                self._quarantine(
+                    os.path.join(self.path, _RESULTS, status.filename),
+                    status.detail,
+                )
+                if status.artifact_digest:
+                    self._quarantine_blob(status.artifact_digest, status.detail)
         return statuses
 
     # ------------------------------------------------------------------
@@ -535,23 +546,31 @@ class DesignStore:
                 continue
         return out
 
-    def gc(self) -> Tuple[List[str], List[str]]:
-        """Prune corrupt entries, legacy design entries and claims.
+    def gc(self) -> Tuple[List[str], List[str], List[str]]:
+        """Prune corrupt entries, legacy files, unreferenced blobs and
+        claims.
 
-        Returns ``(removed_corrupt, removed_designs)`` relative filenames;
-        the second list is the ``designs/`` tree an earlier revision wrote,
-        which nothing reads any more.
+        Returns ``(removed_corrupt, removed_legacy, removed_blobs)``
+        relative filenames.  Legacy files are what earlier revisions wrote
+        and nothing reads any more: the ``designs/`` tree and ``.meta``
+        sidecars.  Blobs are unreferenced once no valid record names them
+        (their record was overwritten or pruned, or a writer died between
+        blob and record).  Run it between serving sessions: a blob written
+        by a live ``put_result`` is unreferenced until its record lands.
         """
         removed_corrupt: List[str] = []
+        referenced = set()
         for name in self._list(_RESULTS):
             path = os.path.join(self.path, _RESULTS, name)
             try:
-                self._read_entry(path)
+                entry = self._read_entry(path)
             except _CorruptEntry:
                 os.unlink(path)
                 removed_corrupt.append(f"{_RESULTS}/{name}")
+                continue
+            referenced.add(entry["payload"].get("artifact_digest"))
         designs_dir = os.path.join(self.path, _LEGACY_DESIGNS)
-        removed_designs = [
+        removed_legacy = [
             f"{_LEGACY_DESIGNS}/{name}"
             for name in (
                 sorted(os.listdir(designs_dir))
@@ -560,17 +579,12 @@ class DesignStore:
             )
         ]
         shutil.rmtree(designs_dir, ignore_errors=True)
-        # Meta sidecars are derived data: drop any whose entry is gone
-        # (including entries gc just removed) — they regenerate on demand.
         results_dir = os.path.join(self.path, _RESULTS)
         for name in sorted(os.listdir(results_dir)):
-            if not name.endswith(".meta"):
-                continue
-            entry_path = os.path.join(
-                results_dir, name[: -len(".meta")] + ".json"
-            )
-            if not os.path.exists(entry_path):
+            if name.endswith(_LEGACY_META):
                 os.unlink(os.path.join(results_dir, name))
+                removed_legacy.append(f"{_RESULTS}/{name}")
+        removed_blobs = self._blobs.gc(referenced)
         # Claims are per-run execution fences; once no pool run is live
         # they are residue, and gc is only run between serving sessions.
         claims_dir = os.path.join(self.path, _CLAIMS)
@@ -578,4 +592,4 @@ class DesignStore:
             for name in sorted(os.listdir(claims_dir)):
                 if name.endswith(".json"):
                     os.unlink(os.path.join(claims_dir, name))
-        return removed_corrupt, removed_designs
+        return removed_corrupt, removed_legacy, removed_blobs

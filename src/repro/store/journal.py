@@ -14,6 +14,7 @@ Layout::
     <root>/journal.log     16-byte header + length-prefixed records
     <root>/journal.lock    writer mutual exclusion (flock)
     <root>/snapshot.json   compacted state (absent until first compaction)
+    <root>/artifacts/<blake2b>.json  artifact blobs, as in the dir backend
 
 Journal format — a 16-byte header (``b"REPROJNL"`` magic + big-endian
 u64 *epoch*, bumped on every compaction) followed by records::
@@ -25,11 +26,15 @@ where the payload is canonical JSON ``{"op": ..., "key": ..., "entry": ...}``
 fence, ``drop`` — journal-style quarantine of a damaged entry).  Entry
 documents are byte-identical to the directory backend's files (shared
 builders in :mod:`repro.store.design`), so the two backends hold
-bit-identical content for the same write sequence.  Logs and snapshots
-written by earlier revisions may also carry Designer output (``design``
-records, ``drop`` records of kind ``design``, a snapshot ``designs``
-map); replay skips them without counting them as damage, and the next
-compaction leaves them out.
+bit-identical content for the same write sequence.  A result record is
+~1 KB: its artifact is a content-addressed blob under ``artifacts/``
+(:mod:`repro.store.artifacts`), written and fsynced before the record's
+append, so no replayed record names a blob that never reached the disk.
+Logs and snapshots written by earlier revisions may hold records with the
+artifact inline (they keep serving it) and may also carry Designer output
+(``design`` records, ``drop`` records of kind ``design``, a snapshot
+``designs`` map); replay skips the Designer output without counting it as
+damage, and the next compaction leaves it out.
 
 Crash safety:
 
@@ -76,6 +81,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.reliability.faults import FaultInjector, FaultPlan, InjectedCrash
 from repro.reliability.retry import RetryError, RetryPolicy, call_with_retry
+from repro.store.artifacts import ArtifactBlobs, BlobBackedStore
 from repro.store.codec import key_digest, payload_digest
 from repro.store.design import (
     SCHEMA_VERSION,
@@ -156,7 +162,7 @@ class _State:
     tail_lost: Optional[Tuple[int, str]] = None
 
 
-class JournalStore:
+class JournalStore(BlobBackedStore):
     """Append-only journal with the :class:`DesignStore` API surface."""
 
     backend = "journal"
@@ -187,6 +193,7 @@ class JournalStore:
         #: whatever else the process has locked before
         self._lock_serials = itertools.count(1)
         self.quarantine_log: List[Tuple[str, str]] = []
+        self._blobs = ArtifactBlobs(self.path, durable=True)
 
         if os.path.isfile(self.path):
             raise StoreError(
@@ -572,8 +579,11 @@ class JournalStore:
             self._write_locked({"op": "drop", "kind": "result", "key": digest})
         except (StoreError, OSError):
             return
+        self._log_quarantine(f"result/{digest}", reason)
+
+    def _log_quarantine(self, rel: str, reason: str) -> None:
         with self._mutex:
-            self.quarantine_log.append((f"result/{digest}", reason))
+            self.quarantine_log.append((rel, reason))
             self._stats = replace(
                 self._stats, quarantined=self._stats.quarantined + 1
             )
@@ -599,17 +609,21 @@ class JournalStore:
         self._bump(result_hits=1)
         return entry["payload"]
 
-    def put_result(self, token: Tuple, arch: str, record: Dict) -> None:
-        """Persist (or overwrite) the finished result for a matrix."""
+    def put_result(self, token: Tuple, arch: str, record: Dict) -> Optional[str]:
+        """Persist (or overwrite) the finished result for a matrix; an
+        inline ``artifact`` becomes a durable blob before the append.
+        Returns the stored record's ``artifact_digest``."""
         digest = self.result_digest(token, arch)
-        entry = result_entry_doc(token, arch, record)
+        stored = self._put_record(record)
+        entry = result_entry_doc(token, arch, stored)
         with self._mutex:
             self._write_locked({"op": "result", "key": digest, "entry": entry})
         self._bump(result_writes=1)
+        return stored.get("artifact_digest")
 
     def result_metas(self, arch: Optional[str] = None) -> List[Tuple[str, Dict]]:
         """``(digest, meta)`` per stored result, digest-ordered — derived
-        in memory from the replayed state (no sidecar files to heal)."""
+        in memory from the replayed records."""
         with self._mutex:
             self._refresh()
             items = sorted(self._state.results.items())
@@ -721,15 +735,20 @@ class JournalStore:
         out: List[EntryStatus] = []
         for digest, entry in results:
             matrix = entry.get("matrix", {})
+            payload = entry.get("payload", {})
+            blob = payload.get("artifact_digest")
+            problem = self._artifact_problem(payload)
             out.append(
                 EntryStatus(
                     "result",
                     f"{digest}.json",
-                    True,
+                    problem is None,
                     str(matrix.get("name") or "<unnamed>"),
                     str(entry.get("arch")),
-                    result_detail(entry.get("payload", {})),
-                    len(json.dumps(entry, sort_keys=True)),
+                    problem or result_detail(payload),
+                    len(json.dumps(entry, sort_keys=True))
+                    + (self._blobs.size(blob) if blob else 0),
+                    blob,
                 )
             )
         for reason in invalid:
@@ -753,20 +772,29 @@ class JournalStore:
         return out
 
     def verify(self, repair: bool = False) -> List[EntryStatus]:
-        """Integrity check (:meth:`entries`).  With ``repair=True``,
-        journal damage is reclaimed by an immediate compaction."""
+        """Integrity check (:meth:`entries`).  With ``repair=True``, a
+        result whose artifact blob fails is dropped (the blob quarantined)
+        and journal damage is reclaimed by an immediate compaction."""
         statuses = self.entries()
         if repair and any(not status.ok for status in statuses):
+            for status in statuses:
+                if status.ok or status.kind != "result":
+                    continue
+                if status.artifact_digest:
+                    self._quarantine_blob(status.artifact_digest, status.detail)
+                self._quarantine_result(
+                    status.filename[: -len(".json")], status.detail
+                )
             self.compact()
         return statuses
 
-    def gc(self) -> Tuple[List[str], List[str]]:
-        """Prune invalid records, legacy design records and claims, then
-        compact.
+    def gc(self) -> Tuple[List[str], List[str], List[str]]:
+        """Prune invalid records, legacy design records, unreferenced
+        artifact blobs and claims, then compact.
 
         Mirrors :meth:`DesignStore.gc`: returns ``(removed_corrupt,
-        removed_designs)``; claims are between-runs residue and are
-        cleared.
+        removed_legacy, removed_blobs)``; claims are between-runs residue
+        and are cleared.
         """
         with self._mutex:
             with self._file_lock():
@@ -780,13 +808,17 @@ class JournalStore:
                     removed_corrupt.append(
                         f"{_JOURNAL}: records after offset {offset} ({reason})"
                     )
-                removed_designs = [
+                removed_legacy = [
                     f"designs/{digest}.json"
                     for digest in sorted(state.legacy_designs)
                 ]
                 state.claims.clear()
                 self._compact_locked()
-        return removed_corrupt, removed_designs
+                removed_blobs = self._blobs.gc({
+                    entry.get("payload", {}).get("artifact_digest")
+                    for entry in state.results.values()
+                })
+        return removed_corrupt, removed_legacy, removed_blobs
 
 
 class _JournalLock:

@@ -5,8 +5,11 @@ A result record is the serving layer's unit of knowledge about one
 ``(matrix, arch)`` pair: the winning Operator Graph, its measured GFLOPS,
 the matrix's *feature signature* (the sparsity statistics the pruning rules
 and the GBT cost model already condition on, log-scaled into a comparable
-vector) and, optionally, the full exported artifact payload — so
-``frontend.resolve`` can answer an exact hit without rebuilding anything.
+vector) and, optionally, the full exported artifact payload.  Records are
+built with the artifact inline; the stores split it off into a blob of its
+own when they persist the record (:mod:`repro.store.artifacts`), so
+``frontend.resolve`` answers an exact hit from ~1 KB without rebuilding
+or loading anything.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def nearest_result_digest(
 
     The donor-ranking rule shared by the serving frontend's tier-2
     neighbour transfer and the engine's cross-matrix warm start: walk the
-    lightweight ``(digest, meta)`` sidecar pairs, keep graph-bearing
+    ``(digest, meta)`` pairs of ``result_metas``, keep graph-bearing
     records of the same workload (absent == spmv) that are not the matrix
     itself (``exclude_digest`` is its content digest), and rank by
     Euclidean feature distance with a deterministic ``(name, digest)``

@@ -2,11 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
 from repro.sparse import write_matrix_market
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 @pytest.fixture
@@ -148,8 +152,10 @@ class TestDesignStoreFlag:
         assert main(args) == 0
         assert main(args) == 0  # a repeat search overwrites the record
         capsys.readouterr()
-        assert sorted(os.listdir(store)) == ["results", "store.json"]
+        assert sorted(os.listdir(store)) == ["artifacts", "results", "store.json"]
         assert len(list((store / "results").glob("*.json"))) == 1
+        # both searches found the same design: one content-addressed blob
+        assert len(list((store / "artifacts").glob("*.json"))) == 1
         serve = ["serve", mtx_file, "--store", str(store), "--evals", "16"]
         assert main(serve) == 0
         assert "1 exact" in capsys.readouterr().out
@@ -188,6 +194,35 @@ class TestServe:
         assert len(manifests) == 1
         manifest = json.loads(manifests[0].read_text())
         assert manifest["kernels"]
+
+    @pytest.mark.parametrize("workers", ["0", "1"])
+    def test_exact_hit_exports_stored_artifact(
+        self, mtx_file, tmp_path, capsys, workers
+    ):
+        """An exact hit answers from the record alone; ``--out`` then
+        loads the stored blob and exports the same files, with the same
+        contents, as the first (searching) request."""
+        store = str(tmp_path / "designs")
+        first, second = tmp_path / "first", tmp_path / "second"
+        base = ["serve", mtx_file, "--store", store, "--evals", "24"]
+        assert main(base + ["--out", str(first)]) == 0
+        capsys.readouterr()
+        assert main(base + ["--workers", workers, "--out", str(second)]) == 0
+        out = capsys.readouterr().out
+        assert "store" in out and "artifact exported" in out
+        def files(root):
+            return sorted(
+                str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()
+            )
+
+        names = files(first / "m")
+        assert names and names == files(second / "m")
+        for name in names:
+            want, got = (first / "m" / name), (second / "m" / name)
+            if name.endswith(".json"):  # stored JSON comes back key-sorted
+                assert json.loads(want.read_text()) == json.loads(got.read_text())
+            else:
+                assert want.read_bytes() == got.read_bytes()
 
 
 class TestStoreCommand:
@@ -230,3 +265,21 @@ class TestSearchMultiExport:
         assert code == 0
         exported = list(out_dir.glob("*/manifest.json"))
         assert len(exported) == 2
+
+
+class TestCodedErrors:
+    def test_malformed_matrix_market_exits_2_without_traceback(self, tmp_path):
+        """A coded error ends the command with ``CODE: message`` and exit
+        status 2, never a traceback."""
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 x\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "search", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert proc.stderr.strip() == (
+            "MM-SIZE-LINE: line 2: malformed size line '3 3 x'"
+        )

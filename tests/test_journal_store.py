@@ -7,11 +7,16 @@ simulate the kill at *every* byte offset of a populated journal —
 truncate, reopen, and assert the survivor recovers to exactly the state
 of the last complete record, with the torn tail physically truncated.
 
+Records carry their artifact as a content-addressed blob under
+``artifacts/``, fsynced before the append that names it, so no cut ever
+leaves a record naming a blob that is not on disk.
+
 The differential test then pins the other half of the contract: for the
 same write sequence, the journal backend and the directory backend hold
-bit-identical entry documents (shared doc builders), so the serving layer
-cannot tell them apart.  Appends are O(record): under the writer lock a
-handle replays only what other handles appended since its last look.
+bit-identical entry documents (shared doc builders) and byte-identical
+artifact blobs, so the serving layer cannot tell them apart.  Appends are
+O(record): under the writer lock a handle replays only what other handles
+appended since its last look.
 """
 
 import fcntl
@@ -44,6 +49,33 @@ _TOKENS = [matrix_token(m) for m in _MATS]
 
 def _result(gflops):
     return {"best_gflops": float(gflops), "via": "search"}
+
+
+def _with_artifact(gflops):
+    """A result whose artifact becomes a blob (distinct per value)."""
+    return dict(_result(gflops), artifact={"kernels": [], "gflops": gflops})
+
+
+def _blobs(root):
+    """``{filename: bytes}`` of a store's artifact blobs."""
+    directory = os.path.join(root, "artifacts")
+    if not os.path.isdir(directory):
+        return {}
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def _assert_blobs_on_disk(store):
+    """No record the store serves names a blob that is not on disk."""
+    for record in store.results():
+        digest = record.get("artifact_digest")
+        if digest:
+            assert os.path.exists(
+                os.path.join(store.path, "artifacts", f"{digest}.json")
+            ), digest
 
 
 def _frames(data):
@@ -140,11 +172,11 @@ class TestCrashConsistency:
         truncates the torn tail."""
         path = tmp_path / "s"
         store = JournalStore(path)
-        store.put_result(_TOKENS[0], ARCH, _result(1.0))
-        store.put_result(_TOKENS[1], ARCH, _result(5.0))
+        store.put_result(_TOKENS[0], ARCH, _with_artifact(1.0))
+        store.put_result(_TOKENS[1], ARCH, _with_artifact(5.0))
         store.claim_search("claim-1")
         store._quarantine_result(store.result_digest(_TOKENS[1], ARCH), "drop")
-        store.put_result(_TOKENS[0], ARCH, _result(2.0))
+        store.put_result(_TOKENS[0], ARCH, _with_artifact(2.0))
 
         journal = path / "journal.log"
         data = journal.read_bytes()
@@ -173,15 +205,43 @@ class TestCrashConsistency:
             assert survivor._state.results == results, f"cut at {cut}"
             assert survivor._state.claims == claims, f"cut at {cut}"
             assert os.path.getsize(journal) == boundary, f"cut at {cut}"
+            _assert_blobs_on_disk(survivor)
+
+    def test_crash_between_blob_and_append_leaves_no_dangling_record(
+        self, tmp_path, monkeypatch
+    ):
+        """A writer that dies after its blob is durable but before the
+        append leaves an unreferenced blob, never a record naming a
+        missing one; ``gc`` collects the blob."""
+        path = tmp_path / "s"
+        store = JournalStore(path)
+        store.put_result(_TOKENS[0], ARCH, _with_artifact(1.0))
+
+        def crash(record):
+            raise InjectedCrash("died between blob and append")
+
+        monkeypatch.setattr(store, "_write_locked", crash)
+        with pytest.raises(InjectedCrash):
+            store.put_result(_TOKENS[1], ARCH, _with_artifact(2.0))
+        survivor = JournalStore(path)
+        assert survivor.get_result(_TOKENS[1], ARCH) is None
+        _assert_blobs_on_disk(survivor)
+        assert len(_blobs(path)) == 2
+        _, _, removed_blobs = survivor.gc()
+        assert len(removed_blobs) == 1
+        assert survivor.load_artifact(
+            survivor.get_result(_TOKENS[0], ARCH)["artifact_digest"]
+        ) == {"kernels": [], "gflops": 1.0}
 
     def test_torn_write_fault_loses_only_that_record(self, tmp_path):
         plan = FaultPlan(seed=0, torn_write_rate=1.0)
         store = JournalStore(tmp_path / "s", faults=plan)
         with pytest.raises(InjectedCrash, match="torn journal write"):
-            store.put_result(_TOKENS[0], ARCH, _result(1.0))
+            store.put_result(_TOKENS[0], ARCH, _with_artifact(1.0))
         survivor = JournalStore(tmp_path / "s")
         assert survivor.get_result(_TOKENS[0], ARCH) is None
         assert os.path.getsize(tmp_path / "s" / "journal.log") == _HEADER_SIZE
+        assert len(_blobs(tmp_path / "s")) == 1  # durable, unreferenced
 
     def test_corrupt_record_rejected_at_replay(self, tmp_path):
         plan = FaultPlan(seed=0, corrupt_record_rate=1.0)
@@ -408,32 +468,44 @@ class TestBackendParity:
             st.tuples(
                 st.integers(min_value=0, max_value=2),
                 st.integers(min_value=1, max_value=999),
+                st.booleans(),
             ),
             max_size=10,
         )
     )
     def test_backends_hold_bit_identical_content(self, ops):
-        """Same write sequence → byte-identical entry documents in both
-        backends (shared doc builders), so reads cannot diverge."""
+        """Same write sequence → byte-identical records and artifact blobs
+        in both backends (shared doc builders), so reads cannot diverge."""
         with tempfile.TemporaryDirectory() as tmp:
             stores = (
                 DesignStore(os.path.join(tmp, "dir")),
                 JournalStore(os.path.join(tmp, "journal")),
             )
-            for idx, value in ops:
+            for idx, value, artifact in ops:
+                record = _with_artifact(value) if artifact else _result(value)
                 for store in stores:
-                    store.put_result(_TOKENS[idx], ARCH, _result(value))
+                    store.put_result(_TOKENS[idx], ARCH, record)
             dir_store, journal_store = stores
             results_dir = os.path.join(tmp, "dir", "results")
-            on_disk = {}
-            for name in os.listdir(results_dir):
-                if name.endswith(".json"):
-                    with open(os.path.join(results_dir, name)) as fh:
-                        on_disk[name[: -len(".json")]] = json.load(fh)
-            assert on_disk == journal_store._state.results
+            assert sorted(os.listdir(results_dir)) == sorted(
+                f"{key}.json" for key in journal_store._state.results
+            )
+            for key, entry in journal_store._state.results.items():
+                with open(os.path.join(results_dir, f"{key}.json"), "rb") as fh:
+                    on_disk = fh.read()
+                assert on_disk == (
+                    json.dumps(entry, sort_keys=True) + "\n"
+                ).encode("utf-8")
+            assert _blobs(os.path.join(tmp, "dir")) == _blobs(
+                os.path.join(tmp, "journal")
+            )
             assert dir_store.results() == journal_store.results()
             assert dir_store.result_metas() == journal_store.result_metas()
             for idx in range(len(_TOKENS)):
                 assert dir_store.get_result(
                     _TOKENS[idx], ARCH
                 ) == journal_store.get_result(_TOKENS[idx], ARCH)
+            for record in dir_store.results():
+                assert dir_store.load_artifact(
+                    record.get("artifact_digest")
+                ) == journal_store.load_artifact(record.get("artifact_digest"))

@@ -12,6 +12,8 @@ Three acceptance bars:
 """
 
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,6 +377,51 @@ class TestSearchIdentity:
         # one verification per *design*, not per candidate
         assert 0 < len(calls) <= result.analysis_cache_misses
         assert len(calls) < len(ran)
+
+
+class TestNoReferenceCycles:
+    """Plans hold their leaf analysis weakly, so what a search or a
+    one-candidate build allocated is freed by reference counting the
+    moment it is dropped, not whenever the cyclic collector next runs."""
+
+    GRAPH = TestAnalysisBackedEquivalence.GRAPH
+
+    @staticmethod
+    def _cyclic_garbage():
+        """Plans and analyses that only ``gc.collect()`` would free."""
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            found = [
+                type(o).__name__
+                for o in gc.garbage
+                if isinstance(o, (LeafAnalysis, ExecutionPlan))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        return found
+
+    def test_search_and_build_leave_no_cyclic_garbage(self, small_irregular):
+        gc.collect()
+        gc.disable()
+        try:
+            with _engine() as engine:
+                result = engine.search(small_irregular)
+                graph = result.best_graph
+                assert result.best_program.kernels[0].plan.analysis is not None
+                del result
+            program = StagedEvaluator(KernelBuilder()).build(
+                small_irregular, graph
+            )
+            plan = program.kernels[0].plan
+            assert plan.analysis is not None  # the program keeps it alive
+            del program
+            assert plan.analysis is None  # freed with the program
+            del plan
+            assert self._cyclic_garbage() == []
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

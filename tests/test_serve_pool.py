@@ -17,8 +17,10 @@ from repro.serve import (
     TIER_EXACT,
     Frontend,
     ResolverPool,
+    ServeResponse,
     search_claim_key,
 )
+from repro.serve.pool import _response_doc, _response_from_doc
 from repro.sparse import banded_matrix, power_law_matrix
 from repro.store import open_store
 from repro.store.errors import StoreError
@@ -72,8 +74,22 @@ class TestPoolCleanPath:
         _assert_all_answered(matrices, warm)
         assert all(r.source in ("search", "neighbour", "store") for r in cold)
         assert all(r.source == "store" for r in warm)  # write-backs landed
+        # exact hits name their blob; the parent loaded every artifact
+        assert all(r.artifact_digest and r.artifact["kernels"] for r in warm)
         assert stats.requests == 8 and stats.answered == 8
         assert stats.restarts == 0 and stats.redispatched == 0
+
+    def test_workers_ship_artifact_digests_not_artifacts(self):
+        response = ServeResponse(
+            "m", "search", 1.0, artifact={"kernels": []}, artifact_digest="d"
+        )
+        doc = _response_doc(response)
+        assert doc["artifact"] is None and doc["artifact_digest"] == "d"
+        back = _response_from_doc(doc)
+        assert back.artifact is None and back.artifact_digest == "d"
+        # an inline artifact from a pre-split record has no blob to name
+        legacy = ServeResponse("m", "store", 1.0, artifact={"kernels": []})
+        assert _response_doc(legacy)["artifact"] == {"kernels": []}
 
     def test_tier_cap_on_empty_store_degrades_explicitly(self, tmp_path):
         matrices = _mats(2)

@@ -1,11 +1,14 @@
-"""Design-store tests: result entries, corruption, concurrency, and
-stores written before design entries were retired.
+"""Design-store tests: result entries, artifact blobs, corruption,
+concurrency, and stores written before design entries were retired.
 
-The store holds finished search results only.  Searches never touch it —
-they design in memory — and stores written by earlier revisions, which
-also hold Designer output, keep serving their results.
+The store holds finished search results only, each as a small record
+plus a content-addressed artifact blob.  Searches never touch it — they
+design in memory — and stores written by earlier revisions, which also
+hold Designer output and inline artifacts, keep serving their results.
 """
 
+import builtins
+import hashlib
 import json
 import os
 import shutil
@@ -17,6 +20,7 @@ import pytest
 from repro.bench import CorpusRunner
 from repro.cli import main
 from repro.gpu import A100
+from repro.reliability.faults import InjectedCrash
 from repro.search import SearchBudget, SearchEngine
 from repro.search.evaluation import matrix_token
 from repro.serve import Frontend
@@ -30,6 +34,7 @@ from repro.store import (
     open_store,
     search_result_record,
 )
+from repro.store.artifacts import ArtifactBlobs
 from repro.store.codec import decode_array, encode_array
 
 BUDGET = SearchBudget(
@@ -56,6 +61,15 @@ def record_search(store, matrix, seed=3):
 
 def history_identity(result):
     return [record.identity() for record in result.history]
+
+
+def _with_artifact(gflops, tag):
+    """A minimal record carrying an inline artifact."""
+    return {
+        "best_gflops": float(gflops),
+        "via": "search",
+        "artifact": {"kernels": [], "tag": tag},
+    }
 
 
 # ----------------------------------------------------------------------
@@ -105,9 +119,9 @@ class TestDesignStore:
         assert len(store.results("A100")) == 1
         assert store.results("RTX2080") == []
 
-    def test_result_metas_sidecar_and_self_heal(self, tmp_path):
-        """Nearest-neighbour scans rank on .meta sidecars; a deleted or
-        stale sidecar regenerates from one full entry read."""
+    def test_result_metas_read_records(self, tmp_path):
+        """Nearest-neighbour scans rank on metas derived from the ~1 KB
+        records themselves: no sidecar file is written."""
         matrix = banded_matrix(16, bandwidth=1, seed=0, name="m")
         token = matrix_token(matrix)
         store = DesignStore(tmp_path / "store")
@@ -120,27 +134,33 @@ class TestDesignStore:
         assert meta["name"] == "m" and meta["best_gflops"] == 2.5
         assert meta["has_graph"] is False
         assert len(meta["features"]) == 8
-
-        sidecar = tmp_path / "store" / "results" / f"{digest}.meta"
-        sidecar.unlink()
-        ((_, healed),) = DesignStore(tmp_path / "store").result_metas("A100")
-        assert healed == meta
-        assert sidecar.exists()  # written back
-
+        assert os.listdir(tmp_path / "store" / "results") == [f"{digest}.json"]
+        assert DesignStore(tmp_path / "store").result_metas("A100") == [
+            (digest, meta)
+        ]
         assert store.result_payload(digest)["best_gflops"] == 2.5
         assert store.result_payload("0" * 32) is None
 
-    def test_gc_drops_orphan_metas(self, tmp_path):
-        matrix = banded_matrix(16, bandwidth=1, seed=0, name="m")
-        token = matrix_token(matrix)
-        store = DesignStore(tmp_path / "store")
-        store.put_result(
-            token, "A100", make_result_record(matrix, "A100", 1.0, None)
-        )
+    def test_gc_deletes_legacy_metas_and_unreferenced_blobs(self, tmp_path):
+        """``gc`` removes ``.meta`` sidecars (earlier revisions wrote
+        them; nothing reads them) and blobs no record names any more."""
+        root = tmp_path / "store"
+        store = DesignStore(root)
+        token = ("m", 1, 1, 1, "d")
+        store.put_result(token, "A100", _with_artifact(1.0, "old"))
+        store.put_result(token, "A100", _with_artifact(2.0, "new"))
         digest = store.result_digest(token, "A100")
-        (tmp_path / "store" / "results" / f"{digest}.json").unlink()
-        DesignStore(tmp_path / "store").gc()
-        assert not (tmp_path / "store" / "results" / f"{digest}.meta").exists()
+        (root / "results" / f"{digest}.meta").write_text("{}")
+        (record,) = store.results()
+        live = record["artifact_digest"]
+        assert len(os.listdir(root / "artifacts")) == 2
+
+        removed_corrupt, removed_legacy, removed_blobs = DesignStore(root).gc()
+        assert removed_corrupt == []
+        assert removed_legacy == [f"results/{digest}.meta"]
+        assert len(removed_blobs) == 1 and live not in removed_blobs[0]
+        assert os.listdir(root / "artifacts") == [f"{live}.json"]
+        assert store.load_artifact(live) == {"kernels": [], "tag": "new"}
 
     def test_version_mismatch_raises(self, tmp_path):
         root = tmp_path / "store"
@@ -211,8 +231,11 @@ class TestCorruption:
         bad = [s for s in statuses if not s.ok]
         assert len(bad) == 1 and bad[0].kind == "result"
 
-        removed_corrupt, _ = DesignStore(root).gc()
+        removed_corrupt, _, removed_blobs = DesignStore(root).gc()
         assert removed_corrupt == [f"results/{entry.name}"]
+        # the pruned record's artifact blob is unreferenced now
+        assert len(removed_blobs) == 1
+        assert len(os.listdir(root / "artifacts")) == 1
         statuses = DesignStore(root).verify()
         assert len(statuses) == 1 and all(s.ok for s in statuses)
 
@@ -295,6 +318,170 @@ class TestConcurrentWriters:
         stored = store.get_result(matrix_token(matrix), "A100")
         assert stored["best_gflops"] == reference.best_gflops
         assert not list((root / "results").glob("*.tmp"))
+
+
+# ----------------------------------------------------------------------
+# Records and artifact blobs
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["dir", "journal"])
+def backend(request):
+    return request.param
+
+
+SPLIT_MATRIX = banded_matrix(64, bandwidth=2, seed=0, name="split")
+
+
+class TestArtifactBlobs:
+    """Each result is a small record plus a content-addressed blob;
+    exact hits read the record alone."""
+
+    def _stored(self, tmp_path, backend):
+        store = open_store(tmp_path / "store", backend=backend)
+        result = record_search(store, SPLIT_MATRIX)
+        record = store.get_result(matrix_token(SPLIT_MATRIX), "A100")
+        return store, result, record
+
+    def test_put_result_splits_record_from_blob(self, tmp_path, backend):
+        store, result, record = self._stored(tmp_path, backend)
+        assert "artifact" not in record
+        digest = record["artifact_digest"]
+        blob = tmp_path / "store" / "artifacts" / f"{digest}.json"
+        assert hashlib.blake2b(
+            blob.read_bytes(), digest_size=16
+        ).hexdigest() == digest
+        assert len(json.dumps(record)) < 2048  # the record stays small
+        expected = search_result_record(
+            SPLIT_MATRIX, "A100", result, seed=3
+        )["artifact"]
+        assert store.load_artifact(digest) == json.loads(json.dumps(expected))
+        assert store.load_artifact(None) is None
+
+    def test_exact_hit_opens_nothing_under_artifacts(
+        self, tmp_path, backend, monkeypatch
+    ):
+        self._stored(tmp_path, backend)
+        store = open_store(tmp_path / "store", create=False)
+        opened, loads = [], []
+        real_open = builtins.open
+
+        def spy_open(file, *args, **kwargs):
+            opened.append(os.fspath(file) if not isinstance(file, int) else "")
+            return real_open(file, *args, **kwargs)
+
+        real_read = ArtifactBlobs.read
+
+        def spy_read(self, digest):
+            loads.append(digest)
+            return real_read(self, digest)
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(ArtifactBlobs, "read", spy_read)
+        with Frontend(A100, store, budget=BUDGET) as frontend:
+            response = frontend.resolve(SPLIT_MATRIX)
+        assert response.source == "store"
+        assert response.artifact is None and response.artifact_digest
+        assert loads == []
+        assert opened and not [p for p in opened if "artifacts" in p]
+        # the one loader still serves the answer's artifact on demand
+        assert store.load_artifact(response.artifact_digest)["kernels"]
+        assert loads == [response.artifact_digest]
+
+    @pytest.mark.parametrize("damage", ["truncate", "edit"])
+    def test_damaged_blob_quarantined_counted_and_healed(
+        self, tmp_path, backend, damage
+    ):
+        store, result, record = self._stored(tmp_path, backend)
+        digest = record["artifact_digest"]
+        blob = tmp_path / "store" / "artifacts" / f"{digest}.json"
+        data = blob.read_bytes()
+        if damage == "truncate":
+            blob.write_bytes(data[: len(data) // 2])
+        else:  # still valid JSON, one base64 character changed
+            at = data.index(b'"data":"') + len(b'"data":"')
+            flipped = b"B" if data[at:at + 1] != b"B" else b"C"
+            blob.write_bytes(data[:at] + flipped + data[at + 1:])
+
+        reader = open_store(tmp_path / "store", create=False)
+        assert reader.load_artifact(digest) is None
+        assert reader.stats().corrupt == 1 and reader.stats().quarantined == 1
+        assert not blob.exists()
+        assert (tmp_path / "store" / "corrupt" / f"{digest}.json").exists()
+        ((rel, reason),) = reader.quarantine_log
+        assert rel == f"artifacts/{digest}.json" and "artifact blob" in reason
+        # the record still answers exact hits; a second load is a plain miss
+        assert reader.get_result(matrix_token(SPLIT_MATRIX), "A100") == record
+        assert reader.load_artifact(digest) is None
+        assert reader.stats().quarantined == 1
+        # the next put of the same artifact writes the blob afresh
+        reader.put_result(
+            matrix_token(SPLIT_MATRIX),
+            "A100",
+            search_result_record(SPLIT_MATRIX, "A100", result, seed=3),
+        )
+        assert blob.read_bytes() == data
+        assert reader.load_artifact(digest)["kernels"]
+
+    def test_malformed_digest_touches_no_file(self, tmp_path, backend):
+        """A digest is a blob name only when it is 32 hex digits: a
+        damaged record naming ``../store`` must not move the header."""
+        store = open_store(tmp_path / "store", backend=backend)
+        store.put_result(("m", 1, 1, 1, "d"), "A100", _with_artifact(1.0, "x"))
+        assert store.load_artifact("../store") is None
+        assert store.load_artifact(7) is None
+        assert (tmp_path / "store" / "store.json").exists()
+        assert store.stats().corrupt == 2 and store.stats().quarantined == 0
+
+    def test_verify_flags_missing_blob_and_repair_drops_record(
+        self, tmp_path, backend, capsys
+    ):
+        store, _, record = self._stored(tmp_path, backend)
+        path = str(tmp_path / "store")
+        (tmp_path / "store" / "artifacts"
+         / f"{record['artifact_digest']}.json").unlink()
+        assert main(["store", "verify", path]) == 1
+        assert "artifact blob missing" in capsys.readouterr().out
+        assert main(["check", "--store", path]) == 1
+        assert main(["store", "verify", path, "--repair"]) == 1
+        assert main(["store", "verify", path]) == 0
+        assert open_store(path, create=False).get_result(
+            matrix_token(SPLIT_MATRIX), "A100"
+        ) is None
+
+    def test_crash_before_record_leaves_no_dangling_record(
+        self, tmp_path, monkeypatch
+    ):
+        """The directory backend writes the blob before the record: a
+        writer that dies in between leaves an unreferenced blob (which
+        ``gc`` collects), never a record naming a missing blob."""
+        root = tmp_path / "store"
+        store = DesignStore(root)
+        token = ("m", 1, 1, 1, "d")
+
+        def crash(path, document):
+            raise InjectedCrash("died between blob and record")
+
+        monkeypatch.setattr(store, "_atomic_write", crash)
+        with pytest.raises(InjectedCrash):
+            store.put_result(token, "A100", _with_artifact(1.0, "lost"))
+        fresh = DesignStore(root)
+        assert fresh.get_result(token, "A100") is None
+        assert len(os.listdir(root / "artifacts")) == 1
+        assert len(fresh.gc()[2]) == 1
+        assert os.listdir(root / "artifacts") == []
+
+    def test_overwritten_blob_is_collected(self, tmp_path, backend):
+        store = open_store(tmp_path / "store", backend=backend)
+        token = ("m", 1, 1, 1, "d")
+        old = store.put_result(token, "A100", _with_artifact(1.0, "old"))
+        new = store.put_result(token, "A100", _with_artifact(2.0, "new"))
+        assert old != new
+        # a record without an artifact names no blob
+        assert store.put_result(
+            ("n", 1, 1, 1, "e"), "A100", {"best_gflops": 1.0, "artifact": None}
+        ) is None
+        _, _, removed_blobs = open_store(tmp_path / "store").gc()
+        assert removed_blobs == [f"artifacts/{old}.json"]
+        assert os.listdir(tmp_path / "store" / "artifacts") == [f"{new}.json"]
 
 
 # ----------------------------------------------------------------------
@@ -390,12 +577,17 @@ class TestLegacyStores:
         token = matrix_token(LEGACY_MATRIX)
         record = store.get_result(token, "A100")
         assert record["name"] == "legacy" and record["graph"] is not None
+        # written before the split: the artifact is inline, no blob
+        assert record["artifact"]["kernels"]
+        assert "artifact_digest" not in record
         ((_, meta),) = store.result_metas("A100")
         assert meta["best_gflops"] == record["best_gflops"]
         with Frontend(A100, store) as frontend:
             response = frontend.resolve(LEGACY_MATRIX)
         assert response.source == "store"
         assert response.gflops == record["best_gflops"]
+        assert response.artifact == record["artifact"]
+        assert response.artifact_digest is None
 
     def test_verify_and_check_pass(self, legacy_store, capsys):
         store = open_store(legacy_store, create=False)
@@ -403,8 +595,22 @@ class TestLegacyStores:
         assert [s.kind for s in statuses] == ["result"]
         assert all(s.ok for s in statuses)
         assert store.stats().corrupt == 0
+        assert main(["store", "verify", str(legacy_store)]) == 0
         assert main(["check", "--store", str(legacy_store)]) == 0
         assert "check passed" in capsys.readouterr().out
+
+    def test_rewrite_uses_the_split_layout(self, legacy_store):
+        """The old layout is read, never written: putting a legacy record
+        back stores it as a record plus a blob."""
+        store = open_store(legacy_store, create=False)
+        token = matrix_token(LEGACY_MATRIX)
+        legacy = store.get_result(token, "A100")
+        digest = store.put_result(token, "A100", legacy)
+        record = open_store(legacy_store, create=False).get_result(
+            token, "A100"
+        )
+        assert "artifact" not in record and record["artifact_digest"] == digest
+        assert store.load_artifact(digest) == legacy["artifact"]
 
     def test_journal_replay_skips_legacy_designs(self, tmp_path):
         store = JournalStore(copy_legacy_store(tmp_path, "journal"))
@@ -419,9 +625,11 @@ class TestLegacyStores:
         path = copy_legacy_store(tmp_path, "dir")
         designs = sorted(os.listdir(path / "designs"))
         assert len(designs) == 2
+        (meta,) = [n for n in os.listdir(path / "results") if n.endswith(".meta")]
         assert DesignStore(path).gc() == (
-            [], [f"designs/{name}" for name in designs]
+            [], [f"designs/{name}" for name in designs] + [f"results/{meta}"], []
         )
+        assert os.listdir(path / "results") == [meta[: -len(".meta")] + ".json"]
         assert not (path / "designs").exists()
         self._assert_results_read(path)
 
@@ -439,8 +647,9 @@ class TestLegacyStores:
 
     def test_journal_gc_lists_legacy_designs(self, tmp_path):
         path = copy_legacy_store(tmp_path, "journal")
-        removed_corrupt, removed = JournalStore(path).gc()
+        removed_corrupt, removed, removed_blobs = JournalStore(path).gc()
         assert removed_corrupt == [] and len(removed) == 2
+        assert removed_blobs == []
         assert all(name.startswith("designs/") for name in removed)
         assert "designs" not in json.loads((path / "snapshot.json").read_text())
         self._assert_results_read(path)

@@ -41,7 +41,6 @@ from repro.workloads import (
     SpMM,
     SpMV,
     SpMVT,
-    Workload,
     register_workload,
 )
 
