@@ -16,9 +16,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.designer import DesignError
 from repro.core.graph import OperatorGraph
-from repro.core.kernel.builder import KernelBuilder
+from repro.core.kernel.builder import BuildError, KernelBuilder
 from repro.core.kernel.program import GeneratedProgram
+from repro.errors import code_of
 from repro.gpu.arch import GPUSpec
 from repro.gpu.executor import PlanValidationError
 from repro.sparse.matrix import SparseMatrix
@@ -109,10 +111,15 @@ class SpmvBaseline(ABC):
         reference.  A baseline whose reduction chain is semantically
         invalid for the workload — e.g. a direct-store row kernel asked to
         scatter into columns under transpose SpMV — reports inapplicable,
-        exactly like a library refusing an unsupported operation.
+        exactly like a library refusing an unsupported operation, and so
+        does one whose design the builder refuses (a
+        :class:`~repro.core.designer.DesignError` or
+        :class:`~repro.core.kernel.builder.BuildError`, e.g. padding past
+        the budget); the note names the refusal's diagnostic code.
         """
         workload = workload or DEFAULT_WORKLOAD
-        if not self.applicable(matrix):
+
+        def inapplicable(note: str) -> BaselineMeasurement:
             return BaselineMeasurement(
                 baseline=self.name,
                 matrix=matrix.name,
@@ -121,25 +128,24 @@ class SpmvBaseline(ABC):
                 time_s=0.0,
                 correct=False,
                 applicable=False,
-                note="format not applicable to this sparsity pattern",
+                note=note,
             )
+
+        if not self.applicable(matrix):
+            return inapplicable("format not applicable to this sparsity pattern")
         if x is None:
             x = workload.make_operand(matrix)
         if reference is None:
             reference = workload.reference(matrix, x)
-        prog = self.program(matrix)
+        try:
+            prog = self.program(matrix)
+        except (DesignError, BuildError) as exc:
+            return inapplicable(f"{code_of(exc)}: design refused: {exc}")
         try:
             result = prog.run(x, gpu, workload=workload)
         except PlanValidationError as exc:
-            return BaselineMeasurement(
-                baseline=self.name,
-                matrix=matrix.name,
-                gpu=gpu.name,
-                gflops=0.0,
-                time_s=0.0,
-                correct=False,
-                applicable=False,
-                note=f"kernel invalid for workload {workload.name}: {exc}",
+            return inapplicable(
+                f"kernel invalid for workload {workload.name}: {exc}"
             )
         correct = workload.allclose(result.y, reference)
         return BaselineMeasurement(

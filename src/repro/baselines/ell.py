@@ -1,21 +1,21 @@
 """ELL baseline (root format; cuSPARSE v9.2 ELL in the paper's PFS).
 
 Every row padded to the global maximum length, column-major storage, one
-thread per row.  Refuses matrices whose padding would exceed a blow-up cap —
-the same practical restriction that made NVIDIA drop ELL from later
-cuSPARSE releases.
+thread per row.  Refuses matrices whose padding would exceed the pad
+operators' blow-up budget (:data:`~repro.core.operators.mapping.MAX_PAD_BLOWUP`)
+— the same practical restriction that made NVIDIA drop ELL from later
+cuSPARSE releases.  Checking it from row statistics skips the Designer run
+the budget would refuse anyway.
 """
 
 from __future__ import annotations
 
 from repro.baselines.base import GraphBaseline, register_baseline
 from repro.core.graph import OperatorGraph
+from repro.core.operators.mapping import MAX_PAD_BLOWUP
 from repro.sparse.matrix import SparseMatrix
 
 __all__ = ["EllBaseline"]
-
-#: Refuse when padded storage exceeds this multiple of nnz.
-_MAX_PAD_BLOWUP = 10.0
 
 
 @register_baseline
@@ -25,7 +25,7 @@ class EllBaseline(GraphBaseline):
     def applicable(self, matrix: SparseMatrix) -> bool:
         stats = matrix.stats
         padded = stats.max_row_length * stats.n_rows
-        return padded <= _MAX_PAD_BLOWUP * max(stats.nnz, 1)
+        return padded <= MAX_PAD_BLOWUP * max(stats.nnz, 1)
 
     def graph(self, matrix: SparseMatrix) -> OperatorGraph:
         return OperatorGraph.from_names(

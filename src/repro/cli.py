@@ -81,7 +81,7 @@ from repro.analysis import render_search_summary, render_table
 from repro.baselines import PFS_MEMBERS, PerfectFormatSelector, get_baseline
 from repro.bench import CorpusRunner, ResultStore, render_corpus_report
 from repro.core.operators import OPERATOR_REGISTRY, Stage
-from repro.errors import DiagnosableError
+from repro.errors import MATRIX_EMPTY, DiagnosableError
 from repro.export import export_program, write_artifact
 from repro.gpu import gpu_by_name
 from repro.search import SearchBudget, SearchEngine
@@ -97,9 +97,15 @@ __all__ = ["main"]
 
 
 def _load_matrix(spec: str) -> SparseMatrix:
-    if spec.startswith("@"):
-        return named_matrix(spec[1:])
-    return read_matrix_market(spec)
+    """A built-in ``@name`` or a Matrix Market path; a matrix with no
+    entries is refused with ``MATRIX-EMPTY`` (there is nothing to design)."""
+    matrix = named_matrix(spec[1:]) if spec.startswith("@") else read_matrix_market(spec)
+    if matrix.nnz == 0:
+        raise DiagnosableError(
+            f"{spec}: matrix has no entries ({matrix.n_rows}x{matrix.n_cols})",
+            code=MATRIX_EMPTY,
+        )
+    return matrix
 
 
 def _workload_arg(value: str) -> Workload:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.core.metadata import MatrixMetadataSet
+from repro.errors import DiagnosableError
 
 __all__ = [
     "Stage",
@@ -31,7 +32,7 @@ __all__ = [
 ]
 
 
-class OperatorError(ValueError):
+class OperatorError(DiagnosableError):
     """Dependency violation or inapplicable operator (paper §IV-B)."""
 
 

@@ -14,7 +14,7 @@ dependency rules below reject e.g. ``BMT_ROW_BLOCK`` followed by
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -26,8 +26,10 @@ from repro.core.operators.base import (
     Stage,
     register_operator,
 )
+from repro.errors import PAD_BUDGET
 
 __all__ = [
+    "MAX_PAD_BLOWUP",
     "BmtbRowBlock",
     "BmwRowBlock",
     "BmtRowBlock",
@@ -45,9 +47,28 @@ __all__ = [
 ]
 
 
+#: Padding budget: no pad operator may grow a leaf's stored elements past
+#: this multiple of its useful nonzeros.  ELL-style padding of a skewed
+#: matrix otherwise allocates hundreds of times the matrix (the practical
+#: limit that made cuSPARSE drop ELL).
+MAX_PAD_BLOWUP = 10
+
+
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
+
+def _check_pad_budget(meta: MatrixMetadataSet, padded: int, op_name: str) -> None:
+    """Refuse, before allocating, padding that would store ``padded``
+    elements past the leaf's budget (a coded :class:`OperatorError`)."""
+    useful = meta.useful_nnz
+    if padded > MAX_PAD_BLOWUP * max(useful, 1):
+        raise OperatorError(
+            f"{op_name}: padding {meta.stored_elements} elements to {padded} "
+            f"exceeds {MAX_PAD_BLOWUP}x the {useful} useful nonzeros",
+            code=PAD_BUDGET,
+        )
+
 
 def _level_index(level: str) -> int:
     return MAP_LEVELS.index(level)
@@ -173,6 +194,8 @@ def _pad_blocks(
     the parent's max block size (ELL/SELL semantics).  Padding elements copy
     the block's last element's row/column with value 0, so every reduction
     strategy stays semantically valid and no extra x hot-spot is created.
+    The padded total is checked against :data:`MAX_PAD_BLOWUP` before any
+    padded array is built.
     """
     blocks = meta.blocks_of(level)
     if blocks is None:
@@ -210,6 +233,7 @@ def _pad_blocks(
     block_starts_in = np.r_[0, np.cumsum(counts)]
     block_starts_out = np.r_[0, np.cumsum(targets)]
     total_out = int(block_starts_out[-1])
+    _check_pad_budget(meta, total_out, op_name)
     out_block = np.repeat(np.arange(n_blocks), targets)
     pos = np.arange(total_out) - block_starts_out[out_block]
     # Source: real element when pos < count, else repeat the last element.
@@ -556,20 +580,18 @@ class BmtbRowPad(Operator):
         n = blocks.size
         if n == 0:
             return
-        starts = np.flatnonzero(np.r_[True, blocks[1:] != blocks[:-1]])
+        new_block = np.r_[True, blocks[1:] != blocks[:-1]]
+        starts = np.flatnonzero(new_block)
         ends = np.r_[starts[1:], n]
-        extra_rows: List[np.ndarray] = []
-        extra_blocks: List[int] = []
-        for b, (s, e) in enumerate(zip(starts, ends)):
-            rows_here = np.unique(meta.elem_row[s:e])
-            deficit = (-rows_here.size) % multiple
-            if deficit:
-                extra_rows.append(np.full(deficit, meta.elem_row[e - 1]))
-                extra_blocks.extend([int(blocks[s])] * deficit)
-        if not extra_rows:
+        # Distinct rows per block, from unique (block run, row) keys.
+        width = int(meta.elem_row.max()) + 1
+        keys = np.unique((np.cumsum(new_block) - 1) * width + meta.elem_row)
+        deficits = (-np.bincount(keys // width, minlength=starts.size)) % multiple
+        if not deficits.any():
             return
-        pad_rows = np.concatenate(extra_rows)
-        pad_blocks = np.asarray(extra_blocks, dtype=np.int64)
+        _check_pad_budget(meta, n + int(deficits.sum()), self.name)
+        pad_rows = np.repeat(meta.elem_row[ends - 1], deficits)
+        pad_blocks = np.repeat(blocks[starts], deficits)
         # Append pads, then restore block-contiguous order.
         rows = np.r_[meta.elem_row, pad_rows]
         cols = np.r_[meta.elem_col, meta.elem_col[-1] * np.ones(pad_rows.size, dtype=np.int64)]

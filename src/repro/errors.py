@@ -3,12 +3,13 @@
 Every dynamic validation error the stack raises — a reduction chain that
 cannot validate for its work assignment (:class:`PlanValidationError` in
 :mod:`repro.gpu.executor`), a malformed operator graph
-(:class:`GraphValidationError` in :mod:`repro.core.graph`) — derives from
-:class:`DiagnosableError` and carries a stable ``code``.  The static
-verifier (:mod:`repro.staticcheck`) proves verdicts under the *same*
-codes, which is what makes the two comparable: a differential test can
-assert not just "statically invalid implies dynamically invalid" but that
-both sides agree on *why*.
+(:class:`GraphValidationError` in :mod:`repro.core.graph`), an operator
+that cannot apply (:class:`OperatorError` in :mod:`repro.core.operators`)
+— derives from :class:`DiagnosableError` and carries a stable ``code``.
+The static verifier (:mod:`repro.staticcheck`) proves verdicts under the
+*same* codes, which is what makes the two comparable: a differential test
+can assert not just "statically invalid implies dynamically invalid" but
+that both sides agree on *why*.
 
 Codes are part of the public contract (documented in the README's "Static
 checking" section); the message text is not — but note that error strings
@@ -56,6 +57,8 @@ __all__ = [
     "MM_ENTRY",
     "MM_ENTRY_COUNT",
     "MM_INDEX_RANGE",
+    "MATRIX_EMPTY",
+    "PAD_BUDGET",
     "CHECK_UNSOUND",
     "code_of",
 ]
@@ -115,6 +118,15 @@ MM_ENTRY_COUNT = "MM-ENTRY-COUNT"
 #: a 1-based index outside the declared dimensions
 MM_INDEX_RANGE = "MM-INDEX-RANGE"
 
+# --- matrix admission (repro.cli) ------------------------------------------
+#: a matrix with no stored entries: there is nothing to design for
+MATRIX_EMPTY = "MATRIX-EMPTY"
+
+# --- design resources (repro.core.operators.mapping) -----------------------
+#: a padding operator would grow a leaf past ``MAX_PAD_BLOWUP`` times its
+#: useful nonzeros; refused from block counts, before any padded array exists
+PAD_BUDGET = "PAD-BUDGET"
+
 # --- the checker checking itself (differential self-test) ------------------
 CHECK_UNSOUND = "CHECK-UNSOUND"
 
@@ -137,5 +149,12 @@ class DiagnosableError(ValueError):
 
 
 def code_of(exc: BaseException) -> str:
-    """Diagnostic code of any exception (``UNCLASSIFIED`` when untyped)."""
-    return getattr(exc, "code", None) or DiagnosableError.default_code
+    """Diagnostic code of any exception: its own, else that of the error it
+    was raised from (``raise ... from``), else ``UNCLASSIFIED``."""
+    cause: Optional[BaseException] = exc
+    while cause is not None:
+        code = getattr(cause, "code", None)
+        if code:
+            return code
+        cause = cause.__cause__
+    return DiagnosableError.default_code

@@ -117,7 +117,9 @@ def write_artifact(
         <dir>/kernel_<label>.cu            (CUDA-like source per kernel)
         <dir>/<label>/<array>.npy          (format arrays per kernel)
 
-    Returns the manifest path.
+    The JSON files are written key-sorted, so an artifact exports the same
+    bytes whether it comes from memory or from a store.  Returns the
+    manifest path.
     """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
@@ -164,11 +166,11 @@ def write_artifact(
         )
     if "operator_graph" in payload:
         with open(os.path.join(directory, _GRAPH), "w") as handle:
-            json.dump(payload["operator_graph"], handle, indent=2)
+            json.dump(payload["operator_graph"], handle, indent=2, sort_keys=True)
         manifest["operator_graph"] = _GRAPH
     manifest_path = os.path.join(directory, _MANIFEST)
     with open(manifest_path, "w") as handle:
-        json.dump(manifest, handle, indent=2)
+        json.dump(manifest, handle, indent=2, sort_keys=True)
     return manifest_path
 
 

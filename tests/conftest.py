@@ -51,6 +51,26 @@ def small_uniform():
     return random_uniform_matrix(300, avg_degree=6, seed=4, name="small_uniform")
 
 
+def _long_row_matrix(n: int, width: int) -> SparseMatrix:
+    """``n`` x ``width``: row 0 is full, every other row holds one entry,
+    so ELL pads it to ``n * width`` elements."""
+    rows = np.r_[np.zeros(width, dtype=np.int64), np.arange(1, n)]
+    cols = np.r_[np.arange(width), np.arange(1, n) % width]
+    return SparseMatrix(n, width, rows, cols, name=f"long-row-{n}x{width}")
+
+
+@pytest.fixture
+def long_row_matrix():
+    """Factory: :func:`_long_row_matrix`."""
+    return _long_row_matrix
+
+
+@pytest.fixture
+def one_full_row():
+    """1,000 x 1,000 with one full row (1,999 nnz): ELL pads it 500x."""
+    return _long_row_matrix(1000, 1000)
+
+
 @pytest.fixture(params=["small_regular", "small_irregular", "small_lp"])
 def any_small_matrix(request):
     return request.getfixturevalue(request.param)

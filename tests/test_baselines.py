@@ -83,6 +83,20 @@ class TestMeasurementContract:
         b = get_baseline("CSR").measure(small_regular, A100, x, reference=ref)
         assert a == b
 
+    def test_refused_design_is_inapplicable(self, one_full_row):
+        """A baseline whose design the padding budget refuses reports an
+        inapplicable measurement naming the code; the rest still measure."""
+        from repro.baselines.base import measure_baselines
+        from repro.errors import PAD_BUDGET
+
+        measured = measure_baselines(one_full_row, A100, ALL_NAMES)
+        assert list(measured) == ALL_NAMES and len(measured) == 14
+        sell = measured["SELL"]
+        assert not sell.applicable and not sell.ok
+        assert sell.note.startswith(f"{PAD_BUDGET}: ")
+        assert sell.gflops == 0.0 and sell.time_s == 0.0
+        assert measured["CSR5"].ok
+
     def test_measure_baselines_batched(self, small_regular, x_for):
         from repro.baselines.base import measure_baselines
 

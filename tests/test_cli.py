@@ -200,8 +200,8 @@ class TestServe:
         self, mtx_file, tmp_path, capsys, workers
     ):
         """An exact hit answers from the record alone; ``--out`` then
-        loads the stored blob and exports the same files, with the same
-        contents, as the first (searching) request."""
+        loads the stored blob and exports the same files, byte for byte,
+        as the first (searching) request."""
         store = str(tmp_path / "designs")
         first, second = tmp_path / "first", tmp_path / "second"
         base = ["serve", mtx_file, "--store", store, "--evals", "24"]
@@ -218,11 +218,7 @@ class TestServe:
         names = files(first / "m")
         assert names and names == files(second / "m")
         for name in names:
-            want, got = (first / "m" / name), (second / "m" / name)
-            if name.endswith(".json"):  # stored JSON comes back key-sorted
-                assert json.loads(want.read_text()) == json.loads(got.read_text())
-            else:
-                assert want.read_bytes() == got.read_bytes()
+            assert (first / "m" / name).read_bytes() == (second / "m" / name).read_bytes()
 
 
 class TestStoreCommand:
@@ -283,3 +279,19 @@ class TestCodedErrors:
         assert proc.stderr.strip() == (
             "MM-SIZE-LINE: line 2: malformed size line '3 3 x'"
         )
+
+    @pytest.mark.parametrize("command", ["search", "bench", "serve", "baselines"])
+    def test_empty_matrix_refused_with_code(self, tmp_path, capsys, command):
+        """Every command that loads a matrix refuses one with no entries
+        (which used to crash mid-search) with ``MATRIX-EMPTY`` and exit 2."""
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 0\n")
+        argv = [command, str(path)]
+        if command == "serve":
+            argv += ["--store", str(tmp_path / "store")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"MATRIX-EMPTY: {path}: matrix has no entries (3x3)\n"
+        )
+        assert captured.out == ""

@@ -1,10 +1,17 @@
 """Mapping-stage operator tests: blocking, padding, nesting, dependencies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.baselines import get_baseline
+from repro.core.designer import DesignError, Designer
+from repro.core.graph import OperatorGraph
 from repro.core.metadata import MatrixMetadataSet
 from repro.core.operators import OperatorError, get_operator
+from repro.core.operators.mapping import MAX_PAD_BLOWUP
+from repro.errors import PAD_BUDGET, code_of
 
 
 def prepared(matrix, *ops_with_params):
@@ -169,6 +176,70 @@ class TestPadding:
         op.apply(meta, resolved)
         # all chunks except possibly the last are size 4 (mult of 2)
         assert meta.stored_elements <= stored_before + 1
+
+
+def _pad_graph(*mapping):
+    return OperatorGraph.from_names(
+        ["COMPRESS", *mapping, "THREAD_TOTAL_RED", "GMEM_ATOM_RED"]
+    )
+
+
+ELL_ROWS = ("BMT_ROW_BLOCK", {"rows_per_block": 1})
+
+
+class TestPadBudget:
+    """Every pad operator refuses, from block counts and before any padded
+    array exists, to grow a leaf past ``MAX_PAD_BLOWUP`` x its useful
+    nonzeros; the Designer reports it as a coded :class:`DesignError`."""
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            [ELL_ROWS, ("BMT_PAD", {"mode": "max"})],
+            [ELL_ROWS, ("BMT_PAD", {"mode": "multiple", "multiple": 64})],
+            [
+                ("BMTB_ROW_BLOCK", {"rows_per_block": 1}),
+                ("BMTB_ROW_PAD", {"multiple": 64}),
+            ],
+        ],
+        ids=["BMT_PAD-max", "BMT_PAD-multiple-64", "BMTB_ROW_PAD-64"],
+    )
+    def test_over_budget_design_refused(self, one_full_row, mapping):
+        with pytest.raises(DesignError, match="exceeds 10x the 1999 useful") as info:
+            Designer().design(one_full_row, _pad_graph(*mapping))
+        assert code_of(info.value.__cause__) == PAD_BUDGET
+        assert code_of(info.value) == PAD_BUDGET
+
+    def test_refused_design_allocates_little(self, one_full_row):
+        """Built, this ELL design would hold 10^6 elements (~57 MB traced);
+        refused from its block counts it stays far below that."""
+        graph = _pad_graph(ELL_ROWS, ("BMT_PAD", {"mode": "max"}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DesignError):
+                Designer().design(one_full_row, graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("short_rows, fits", [(10, True), (11, False)])
+    def test_budget_boundary_shared_with_ell(
+        self, long_row_matrix, short_rows, fits
+    ):
+        """A 100-wide row over 10 one-entry rows pads to exactly 10x its
+        110 nonzeros and is allowed; one more short row tips it over.  The
+        ELL baseline's applicability check draws the same line."""
+        matrix = long_row_matrix(short_rows + 1, 100)
+        assert MAX_PAD_BLOWUP == 10
+        assert get_baseline("ELL").applicable(matrix) is fits
+        graph = _pad_graph(ELL_ROWS, ("BMT_PAD", {"mode": "max"}))
+        if fits:
+            (leaf,) = Designer().design(matrix, graph)
+            assert leaf.meta.stored_elements == 10 * matrix.nnz
+        else:
+            with pytest.raises(DesignError):
+                Designer().design(matrix, graph)
 
 
 class TestSortBmtb:
