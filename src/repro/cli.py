@@ -81,9 +81,14 @@ from repro.analysis import render_search_summary, render_table
 from repro.baselines import PFS_MEMBERS, PerfectFormatSelector, get_baseline
 from repro.bench import CorpusRunner, ResultStore, render_corpus_report
 from repro.core.operators import OPERATOR_REGISTRY, Stage
-from repro.errors import MATRIX_EMPTY, DiagnosableError
+from repro.errors import (
+    MATRIX_EMPTY,
+    MATRIX_OPEN,
+    MATRIX_UNKNOWN,
+    DiagnosableError,
+)
 from repro.export import export_program, write_artifact
-from repro.gpu import gpu_by_name
+from repro.gpu import GPUSpec, gpu_by_name
 from repro.search import SearchBudget, SearchEngine
 from repro.search.evaluation import matrix_token
 from repro.serve import Frontend, default_serve_budget
@@ -97,9 +102,22 @@ __all__ = ["main"]
 
 
 def _load_matrix(spec: str) -> SparseMatrix:
-    """A built-in ``@name`` or a Matrix Market path; a matrix with no
-    entries is refused with ``MATRIX-EMPTY`` (there is nothing to design)."""
-    matrix = named_matrix(spec[1:]) if spec.startswith("@") else read_matrix_market(spec)
+    """A built-in ``@name`` or a Matrix Market path.  An unknown name is
+    refused with ``MATRIX-UNKNOWN``, a path that cannot be opened with
+    ``MATRIX-OPEN``, and a matrix with no entries with ``MATRIX-EMPTY``
+    (there is nothing to design)."""
+    if spec.startswith("@"):
+        try:
+            matrix = named_matrix(spec[1:])
+        except KeyError as exc:
+            raise DiagnosableError(exc.args[0], code=MATRIX_UNKNOWN) from None
+    else:
+        try:
+            matrix = read_matrix_market(spec)
+        except OSError as exc:
+            raise DiagnosableError(
+                f"{spec}: {exc.strerror or exc}", code=MATRIX_OPEN
+            ) from None
     if matrix.nnz == 0:
         raise DiagnosableError(
             f"{spec}: matrix has no entries ({matrix.n_rows}x{matrix.n_cols})",
@@ -115,6 +133,15 @@ def _workload_arg(value: str) -> Workload:
         return get_workload(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _gpu_arg(value: str) -> GPUSpec:
+    """argparse type for ``--gpu``: a bad name errors with the list of
+    GPU presets instead of surfacing a KeyError traceback."""
+    try:
+        return gpu_by_name(value)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 def _sampler_arg(value: str):
@@ -142,7 +169,7 @@ def _sampler_seed_arg(value: str) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     specs: List[str] = args.matrix
     matrices = [_load_matrix(spec) for spec in specs]
-    gpu = gpu_by_name(args.gpu)
+    gpu = args.gpu
     store = DesignStore(args.store) if args.store else None
     if args.warm_start and store is None:
         raise SystemExit("--warm-start requires --store DIR")
@@ -307,7 +334,7 @@ def _expand_bench_specs(specs: List[str]) -> List[object]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     matrices = _expand_bench_specs(args.matrix)
-    gpu = gpu_by_name(args.gpu)
+    gpu = args.gpu
     store = ResultStore(args.resume)
     design_store = DesignStore(args.store) if args.store else None
     if args.warm_start and design_store is None:
@@ -352,7 +379,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ResolverPool
 
     matrices = [_load_matrix(spec) for spec in args.matrix]
-    gpu = gpu_by_name(args.gpu)
+    gpu = args.gpu
     budget = dataclasses.replace(
         default_serve_budget(), max_total_evals=args.evals
     )
@@ -628,7 +655,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_baselines(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.matrix)
-    gpu = gpu_by_name(args.gpu)
+    gpu = args.gpu
     workload = args.workload
     x = workload.make_operand(matrix, seed=0)
     reference = workload.reference(matrix, x)
@@ -715,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", nargs="+",
                    help="Matrix Market path(s) or @named-matrix(es); several "
                         "matrices share one engine")
-    p.add_argument("--gpu", default="A100")
+    p.add_argument("--gpu", type=_gpu_arg, default="A100", metavar="NAME")
     p.add_argument("--evals", type=int, default=200,
                    help="max program evaluations")
     p.add_argument("--workload", type=_workload_arg,
@@ -763,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", nargs="+",
                    help="Matrix Market path(s), @named-matrix(es), or "
                         "@corpus:N / @corpus:K-N corpus slices")
-    p.add_argument("--gpu", default="A100")
+    p.add_argument("--gpu", type=_gpu_arg, default="A100", metavar="NAME")
     p.add_argument("--evals", type=int, default=160,
                    help="max search evaluations per matrix")
     p.add_argument("--workload", type=_workload_arg,
@@ -796,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Matrix Market path(s) or @named-matrix(es)")
     p.add_argument("--store", required=True, metavar="DIR",
                    help="design-store directory backing the frontend")
-    p.add_argument("--gpu", default="A100")
+    p.add_argument("--gpu", type=_gpu_arg, default="A100", metavar="NAME")
     p.add_argument("--evals", type=int, default=96,
                    help="evaluation budget of the bounded fallback search")
     p.add_argument("--workload", type=_workload_arg,
@@ -869,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baselines", help="measure every baseline format")
     p.add_argument("matrix")
-    p.add_argument("--gpu", default="A100")
+    p.add_argument("--gpu", type=_gpu_arg, default="A100", metavar="NAME")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
                    help="operation to measure: "

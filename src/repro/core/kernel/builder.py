@@ -17,13 +17,15 @@ Distribution rules per finest mapped level:
 
 Round-robin distributions are naturally coalesced (consecutive lanes read
 consecutive addresses); chunked BMT access is strided unless
-INTERLEAVED_STORAGE transposed the layout.
+INTERLEAVED_STORAGE transposed the layout.  A BMTB level over a finer
+level fixes the launch block size itself; every other kernel launches
+with ``SET_RESOURCES``'s ``threads_per_block`` (:func:`runtime_reads`).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +50,7 @@ __all__ = [
     "design_signature",
     "design_graph",
     "runtime_nodes_for_leaf",
+    "runtime_reads",
 ]
 
 #: CUDA hard limit the builder refuses to exceed.
@@ -126,6 +129,44 @@ def runtime_nodes_for_leaf(
     return collected
 
 
+def runtime_reads(
+    meta: MatrixMetadataSet,
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The runtime scalars a leaf's kernel reads, from its block structure.
+
+    Returns ``(assignment, unit)``, each a tuple of names (``"tpb"`` =
+    ``threads_per_block``, ``"grid"`` = ``grid_threads``; see
+    :func:`_runtime_scalars`):
+
+    * ``assignment`` — what the thread assignment (which thread runs each
+      element, and how many threads there are) reads: nothing under a BMT
+      or BMW level, ``tpb`` for BMTB round-robin, ``grid`` for the unmapped
+      grid-stride loop;
+    * ``unit`` — what the whole kernel unit reads: the assignment's scalars
+      plus the launch block size, unless a BMTB level over a finer level
+      fixes that itself.  ``work_per_thread`` reaches a kernel only through
+      ``grid_threads``, so a mapped leaf never reads it.
+
+    :meth:`KernelBuilder._distribute` and the unit-cache key both take
+    their dependencies from here, so the leaf analysis computes one
+    distribution per thread assignment and one unit per runtime value the
+    leaf actually reads.
+    """
+    finest = meta.finest_level()
+    if finest is None:
+        return ("grid",), ("tpb", "grid")
+    if finest == "bmtb":
+        return ("tpb",), ("tpb",)
+    if meta.blocks_of("bmtb") is not None:
+        return (), ()
+    return (), ("tpb",)
+
+
+def _runtime_scalars(meta: MatrixMetadataSet) -> Dict[str, object]:
+    """The runtime scalars by the names :func:`runtime_reads` uses."""
+    return {"tpb": meta.threads_per_block, "grid": meta.grid_threads}
+
+
 class BuildError(RuntimeError):
     """The design cannot be realised as a CUDA kernel (e.g. >1024 threads
     per block, or a warp mapped to more than 32 BMTs)."""
@@ -190,14 +231,15 @@ class KernelBuilder:
     ) -> ExecutionPlan:
         """Project metadata into an executable plan.
 
-        With ``analysis`` set, the thread distribution is cached per
-        runtime-scalar pair and the original-row projection per leaf; the
-        plan itself is then cached per distribution key — everything else
-        in it (element arrays, reduction steps, format bytes) is
+        With ``analysis`` set, the thread distribution is cached per thread
+        assignment (the runtime scalars it reads, see :func:`runtime_reads`)
+        and the original-row projection per leaf; the plan itself is then
+        cached per assignment plus launch block size — everything else in
+        it (element arrays, reduction steps, format bytes) is
         leaf-invariant, so one :class:`ExecutionPlan` (construction plus
         its O(n) invariant checks) serves every runtime assignment that
-        lands on the same distribution, and the executor shares cost
-        projections across the whole runtime grid.
+        lands on the same launch, and the executor shares cost projections
+        across the whole runtime grid.
         """
         if analysis is None:
             thread_of_nz, n_threads, tpb, run_length, _deps = self._distribute(meta)
@@ -211,7 +253,7 @@ class KernelBuilder:
                 out_rows=meta.origin_rows[meta.elem_row],
                 thread_of_nz=thread_of_nz,
                 n_threads=n_threads,
-                threads_per_block=tpb,
+                threads_per_block=meta.threads_per_block if tpb is None else tpb,
                 reduction_steps=steps,
                 interleaved=meta.interleaved,
                 extra_format_bytes=float(fmt.aux_bytes),
@@ -220,10 +262,14 @@ class KernelBuilder:
                 label=label,
             )
         dist = analysis.distribution(
-            {"tpb": meta.threads_per_block, "grid": meta.grid_threads},
-            lambda: self._distribute(meta),
+            _runtime_scalars(meta), lambda: self._distribute(meta)
         )
-        cost_key = (dist.key, dist.n_threads, dist.threads_per_block)
+        tpb = (
+            meta.threads_per_block
+            if dist.threads_per_block is None
+            else dist.threads_per_block
+        )
+        cost_key = (dist.key, dist.n_threads, tpb)
 
         def construct() -> ExecutionPlan:
             steps = self._reduction_steps(meta)
@@ -238,7 +284,7 @@ class KernelBuilder:
                 ),
                 thread_of_nz=dist.thread_of_nz,
                 n_threads=dist.n_threads,
-                threads_per_block=dist.threads_per_block,
+                threads_per_block=tpb,
                 reduction_steps=steps,
                 interleaved=meta.interleaved,
                 extra_format_bytes=float(fmt.aux_bytes),
@@ -263,27 +309,33 @@ class KernelBuilder:
     # ------------------------------------------------------------------
     def _distribute(
         self, meta: MatrixMetadataSet
-    ) -> Tuple[np.ndarray, int, int, float, Tuple[str, ...]]:
+    ) -> Tuple[np.ndarray, int, Optional[int], float, Tuple[str, ...]]:
         """Returns (thread_of_nz, n_threads, threads_per_block, run_length,
-        runtime_deps).
+        deps).
 
-        ``runtime_deps`` names the runtime scalars the chosen distribution
-        path actually read (``"tpb"`` / ``"grid"``, in that order) — the
-        leaf analysis keys distributions by exactly those values, so
-        structurally-determined distributions are computed once per leaf
-        instead of once per runtime assignment.
+        ``deps`` names the runtime scalars the *thread assignment* read
+        (``"tpb"`` / ``"grid"``, the ``assignment`` half of
+        :func:`runtime_reads`): none under a BMT or BMW level, ``"tpb"``
+        for BMTB round-robin, ``"grid"`` when unmapped.  The leaf analysis
+        keys distributions by exactly those values, so one assignment is
+        computed once per leaf, not once per runtime assignment.
+
+        ``threads_per_block`` is the block size a BMTB level over a finer
+        level fixes, or None: the kernel then launches with the configured
+        ``meta.threads_per_block``, which the distribution did not read
+        (BMTB round-robin reads it through ``deps`` instead).
         """
         n = meta.stored_elements
         bmt = meta.blocks_of("bmt")
         bmw = meta.blocks_of("bmw")
         bmtb = meta.blocks_of("bmtb")
-        tpb_cfg = meta.threads_per_block
+        deps, _unit_reads = runtime_reads(meta)
+        tpb: Optional[int] = None
 
         if bmt is not None:
             n_bmt = int(meta.n_blocks("bmt") or 0)
             counts = np.bincount(bmt, minlength=n_bmt)
             run = float(counts[counts > 0].mean()) if n_bmt else 1.0
-            deps: Tuple[str, ...] = ()
             if bmw is not None:
                 parent_w = _parent_of_block(bmt, bmw)
                 first_bmt = _first_child_of_parent(parent_w)
@@ -305,8 +357,6 @@ class KernelBuilder:
                     )
                     n_threads = n_bmtb * tpb
                 else:
-                    tpb = tpb_cfg
-                    deps = ("tpb",)
                     thread_of_bmt = parent_w * WARP + lane_of_bmt
                     n_threads = (int(meta.n_blocks("bmw") or 0)) * WARP
             elif bmtb is not None:
@@ -319,8 +369,6 @@ class KernelBuilder:
                 thread_of_bmt = parent_b * tpb + bmt_in_block
                 n_threads = n_bmtb * tpb
             else:
-                tpb = tpb_cfg
-                deps = ("tpb",)
                 thread_of_bmt = np.arange(n_bmt, dtype=np.int64)
                 n_threads = max(n_bmt, 1)
             thread_of_nz = thread_of_bmt[bmt]
@@ -350,12 +398,9 @@ class KernelBuilder:
                     parent_b[bmw] * tpb + warp_in_block[bmw] * WARP + lane
                 )
                 n_threads = n_bmtb * tpb
-                deps = ()
             else:
-                tpb = tpb_cfg
                 thread_of_nz = bmw * WARP + lane
                 n_threads = (int(meta.n_blocks("bmw") or 0)) * WARP
-                deps = ("tpb",)
             return (
                 thread_of_nz.astype(np.int64),
                 int(max(n_threads, 1)),
@@ -365,27 +410,27 @@ class KernelBuilder:
             )
 
         if bmtb is not None:
-            tpb = tpb_cfg
+            # Round-robin over the configured block: the assignment reads it.
+            tpb_cfg = meta.threads_per_block
             starts = _block_starts(bmtb)
             offset = np.zeros(int(bmtb.max()) + 1, dtype=np.int64)
             offset[bmtb[starts]] = starts
             pos = np.arange(n, dtype=np.int64) - offset[bmtb]
-            thread_of_nz = bmtb * tpb + pos % tpb
+            thread_of_nz = bmtb * tpb_cfg + pos % tpb_cfg
             n_bmtb = int(meta.n_blocks("bmtb") or 0)
             return (
                 thread_of_nz.astype(np.int64),
-                max(n_bmtb * tpb, 1),
-                tpb,
+                max(n_bmtb * tpb_cfg, 1),
+                None,
                 1.0,
-                ("tpb",),
+                deps,
             )
 
         # Unmapped: COO-style grid-stride loop.
-        tpb = tpb_cfg
         grid = meta.grid_threads or min(max(n, 1), 4096 * WARP)
         grid = _round_up(int(grid), WARP)
         thread_of_nz = np.arange(n, dtype=np.int64) % grid
-        return thread_of_nz, grid, tpb, 1.0, ("tpb", "grid")
+        return thread_of_nz, grid, None, 1.0, deps
 
     @staticmethod
     def _check_tpb(tpb: int) -> None:
@@ -460,8 +505,8 @@ class KernelBuilder:
         mutated: runtime scalars are re-applied on a shallow store copy.
 
         ``analysis`` (one :class:`~repro.gpu.analysis.DesignAnalysis` per
-        design signature) memoises assembled kernel units per
-        runtime-parameter assignment and the cross-kernel write check per
+        design signature) memoises assembled kernel units per runtime
+        value each leaf reads and the cross-kernel write check per
         design, and is carried on the returned program for verdict reuse.
         """
         kernels = []
@@ -491,46 +536,57 @@ class KernelBuilder:
         graph: OperatorGraph,
         analysis: Optional[LeafAnalysis],
     ) -> KernelUnit:
-        """One leaf's kernel unit, memoised per runtime-parameter values.
+        """One leaf's kernel unit, memoised per runtime value it reads.
 
         The unit (format, plan, source) is a pure function of the leaf plus
-        the runtime-operator parameters on its branch path, so candidates
-        sharing both get the same (immutable) unit object back — including
-        deterministic replay of assembly failures.
+        the runtime scalars its kernel reads (:meth:`runtime_unit_key`), so
+        candidates agreeing on those get the same (immutable) unit object
+        back — including deterministic replay of assembly failures.
         """
         nodes = runtime_nodes_for_leaf(graph, leaf.branch_path)
         if analysis is None:
             return self.build_unit(self._runtime_leaf(leaf, nodes), analysis=None)
+        key, runtime = self.runtime_unit_key(leaf, nodes)
         entry = analysis.unit(
-            self.runtime_unit_key(nodes),
-            lambda: self.compute_unit_entry(leaf, nodes, analysis),
+            key, lambda: self.compute_unit_entry(runtime, analysis)
         )
         if entry[0] == "error":
             raise entry[1](entry[2])
         return entry[1]
 
-    @staticmethod
-    def runtime_unit_key(nodes: Sequence[GraphNode]) -> Tuple:
-        """Unit-cache key of one leaf: the runtime-operator parameters on
-        its branch path (the only candidate-varying input of a unit)."""
-        return tuple(
-            (node.op_name, tuple(sorted(node.params.items()))) for node in nodes
-        )
+    def runtime_unit_key(
+        self, leaf: DesignLeaf, nodes: Sequence[GraphNode]
+    ) -> Tuple[Tuple, Union[DesignLeaf, Tuple]]:
+        """Unit-cache key of one leaf under its branch path's runtime
+        nodes, plus the input :meth:`compute_unit_entry` assembles.
+
+        The nodes are re-applied to a runtime copy of the leaf, and the key
+        is the values of the runtime scalars the leaf's unit reads
+        (:func:`runtime_reads`): ``()`` when a BMTB level over a finer level
+        fixes the launch, ``(threads_per_block,)`` for other mapped leaves,
+        ``(threads_per_block, grid_threads)`` when unmapped.  A value the
+        operator rejects keys by its own error message, and the input is
+        then that error entry, so the failure replays exactly.
+        """
+        try:
+            runtime = self._runtime_leaf(leaf, nodes)
+        except DesignError as exc:
+            return ("rejected", str(exc)), ("error", DesignError, str(exc))
+        scalars = _runtime_scalars(runtime.meta)
+        _assignment, reads = runtime_reads(leaf.meta)
+        return tuple(scalars[name] for name in reads), runtime
 
     def compute_unit_entry(
-        self,
-        leaf: DesignLeaf,
-        nodes: Sequence[GraphNode],
-        analysis: LeafAnalysis,
+        self, runtime: Union[DesignLeaf, Tuple], analysis: LeafAnalysis
     ) -> Tuple:
-        """Entry-form unit assembly for prepared branch-path nodes:
+        """Entry-form unit assembly of a :meth:`runtime_unit_key` input:
         ``("ok", unit)`` or ``("error", exc_class, message)`` — the shape
         :meth:`LeafAnalysis.unit`/``unit_batch`` cache, shared by the
         per-candidate and batched evaluation paths."""
+        if isinstance(runtime, tuple):
+            return runtime
         try:
-            unit = self.build_unit(
-                self._runtime_leaf(leaf, nodes), analysis=analysis
-            )
+            unit = self.build_unit(runtime, analysis=analysis)
         except DesignError as exc:
             return ("error", DesignError, str(exc))
         except BuildError as exc:

@@ -58,6 +58,8 @@ __all__ = [
     "MM_ENTRY_COUNT",
     "MM_INDEX_RANGE",
     "MATRIX_EMPTY",
+    "MATRIX_UNKNOWN",
+    "MATRIX_OPEN",
     "PAD_BUDGET",
     "CHECK_UNSOUND",
     "code_of",
@@ -121,6 +123,10 @@ MM_INDEX_RANGE = "MM-INDEX-RANGE"
 # --- matrix admission (repro.cli) ------------------------------------------
 #: a matrix with no stored entries: there is nothing to design for
 MATRIX_EMPTY = "MATRIX-EMPTY"
+#: an ``@name`` that names no built-in matrix
+MATRIX_UNKNOWN = "MATRIX-UNKNOWN"
+#: a matrix path that cannot be opened (missing, unreadable, a directory)
+MATRIX_OPEN = "MATRIX-OPEN"
 
 # --- design resources (repro.core.operators.mapping) -----------------------
 #: a padding operator would grow a leaf past ``MAX_PAD_BLOWUP`` times its

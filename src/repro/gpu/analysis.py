@@ -17,10 +17,11 @@ incremental across a leaf's runtime grid:
     distinct-column count, the unique output rows, the sorted
     ``(thread, row)`` pair machinery the reduction walk starts from, the
     functional ``y`` per input vector — and, keyed by the scalars that *do*
-    matter, the thread distribution, the assembled
-    :class:`~repro.core.kernel.program.KernelUnit` and the full cost
-    projection (:class:`~repro.gpu.cost.KernelCostInputs` +
-    :class:`~repro.gpu.cost.CostBreakdown`).
+    matter, the thread distribution (by its thread assignment), the full
+    cost projection (:class:`~repro.gpu.cost.KernelCostInputs` +
+    :class:`~repro.gpu.cost.CostBreakdown`, by assignment plus launch block
+    size) and the assembled :class:`~repro.core.kernel.program.KernelUnit`
+    (by the runtime values its leaf reads).
 
 :class:`DesignAnalysis`
     One analysis per design: a :class:`LeafAnalysis` per kernel of the
@@ -77,19 +78,28 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistResult:
-    """One cached thread distribution (output of ``KernelBuilder._distribute``).
+    """One cached thread assignment (output of ``KernelBuilder._distribute``).
 
     ``key`` is the deps-projected runtime-scalar tuple the distribution was
-    cached under.  The dependency set is pinned per leaf, so within one
-    :class:`LeafAnalysis` the tuple identifies the distribution — downstream
-    caches (plan, cost projection, thread stats) key on it directly, which
-    is why a leaf whose distribution ignores a runtime scalar shares cost
-    projections across the whole grid without hashing ``thread_of_nz``.
+    cached under: the values of the scalars the *thread assignment* reads —
+    ``()`` under a BMT or BMW level, ``(threads_per_block,)`` for BMTB
+    round-robin, ``(grid_threads,)`` when unmapped.  The dependency set is
+    pinned per leaf, so within one :class:`LeafAnalysis` the tuple
+    identifies the assignment — the start-pair, thread-stats and
+    reduction-walk caches key on it directly, without hashing
+    ``thread_of_nz``.  Plans and cost
+    projections add ``n_threads`` and the launch block size, because block
+    counts and block-level reductions do depend on it.
+
+    ``threads_per_block`` is the block size the mapping fixes (a BMTB level
+    over a finer level), or None when the kernel launches with the
+    configured ``threads_per_block`` — which then belongs to the plan, not
+    to the assignment.
     """
 
     thread_of_nz: np.ndarray
     n_threads: int
-    threads_per_block: int
+    threads_per_block: Optional[int]
     run_length: Optional[float]
     key: Tuple
 
@@ -140,17 +150,20 @@ class LeafAnalysis:
     def distribution(
         self,
         scalars: Dict[str, object],
-        compute: Callable[[], Tuple[np.ndarray, int, int, Optional[float], Tuple[str, ...]]],
+        compute: Callable[
+            [], Tuple[np.ndarray, int, Optional[int], Optional[float], Tuple[str, ...]]
+        ],
     ) -> DistResult:
-        """Thread distribution, keyed by the runtime scalars it depends on.
+        """Thread assignment, keyed by the runtime scalars it reads.
 
         ``compute`` returns ``(thread_of_nz, n_threads, tpb, run, deps)``
-        where ``deps`` names the entries of ``scalars`` the chosen
-        distribution path read.  The dependency set is a property of the
-        leaf's block structure, so the first computation pins it; later
-        lookups project ``scalars`` onto it — a leaf whose distribution is
-        fully structural computes exactly one distribution for its whole
-        runtime grid.
+        where ``deps`` names the entries of ``scalars`` the thread
+        assignment read — not the launch block size, which ``tpb`` reports
+        only when the mapping fixes it (None = the configured one).  The
+        dependency set is a property of the leaf's block structure, so the
+        first computation pins it; later lookups project ``scalars`` onto
+        it — a leaf with a BMT or BMW level computes exactly one
+        distribution for its whole runtime grid.
         """
         with self.lock:
             deps = self._scalars.get("__dist_deps")
@@ -163,7 +176,7 @@ class LeafAnalysis:
         dist = DistResult(
             thread_of_nz=_readonly(thread_of_nz),
             n_threads=int(n_threads),
-            threads_per_block=int(tpb),
+            threads_per_block=None if tpb is None else int(tpb),
             run_length=run,
             key=key,
         )
@@ -200,8 +213,9 @@ class LeafAnalysis:
         return entry
 
     def unit(self, key: Tuple, compute: Callable[[], Tuple]) -> Tuple:
-        """``("ok", KernelUnit)`` or ``("error", exc_name, message)`` per
-        runtime-parameter assignment."""
+        """``("ok", KernelUnit)`` or ``("error", exc_class, message)`` per
+        unit key: the values of the runtime scalars the leaf's kernel reads
+        (``KernelBuilder.runtime_unit_key``)."""
         with self.lock:
             entry = self._units.get(key)
         if entry is None:
@@ -214,7 +228,8 @@ class LeafAnalysis:
     def unit_batch(
         self, keys: List[Tuple], compute: Callable[[Tuple], Tuple]
     ) -> List[Tuple]:
-        """Unit entries for ``keys``, in order, with batched lock trips.
+        """Unit entries for ``keys`` (:meth:`unit`'s), in order, with
+        batched lock trips.
 
         The whole runtime grid of one design group is looked up under a
         single lock acquisition; ``compute(key)`` runs once per *distinct*

@@ -34,9 +34,12 @@ counting uses ``bincount`` presence tables instead of sort-based
 than ``np.add.at``.  When a plan carries a
 :class:`~repro.gpu.analysis.LeafAnalysis` (``plan.analysis``, attached by
 the staged evaluator), everything runtime scalars cannot change — valid
-mask, sorted pair machinery, cost projection per distribution digest,
-functional ``y`` per input vector — is computed once per design leaf and
-shared across the whole runtime-parameter grid.
+mask and masked scatter side, functional ``y`` per input vector — is
+computed once per design leaf; the sorted pair machinery, the per-thread
+histogram and the reduction walk once per thread assignment (the walk
+also per block size when the chain has a block-level step); and the cost
+projection once per assignment plus launch block size, shared across the
+whole runtime-parameter grid.
 """
 
 from __future__ import annotations
@@ -159,8 +162,9 @@ class ExecutionPlan:
     analysis_ref: Optional[weakref.ref] = field(
         default=None, repr=False, compare=False
     )
-    #: content key of the thread distribution (``(digest, n_threads, tpb)``)
-    #: used to share cost projections across runtime assignments.
+    #: ``(assignment key, n_threads, tpb)``: the thread assignment's key in
+    #: its leaf analysis plus the launch geometry — shares cost
+    #: projections across runtime assignments that launch alike.
     cost_key: Optional[Tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -312,6 +316,7 @@ def _flow_partials(
     start_pairs: Optional[Tuple[np.ndarray, int]] = None,
     scatter: Optional[np.ndarray] = None,
     n_out: Optional[int] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> _PipelineStats:
     """Walk the reduction chain, validating strategies and counting ops.
 
@@ -331,6 +336,8 @@ def _flow_partials(
     validates the chain against the *column* partial flow, so e.g.
     GMEM_DIRECT_STORE demands one partial per output column).  Defaults
     are the row side — the historical SpMV behaviour, unchanged.
+    ``rows`` optionally supplies ``scatter[valid]`` (the leaf analysis
+    caches it per workload scope), so the walk does not re-mask it.
     """
     if valid is None:
         valid = plan.out_rows >= 0
@@ -339,7 +346,8 @@ def _flow_partials(
         scatter = plan.out_rows
     if n_out is None:
         n_out = plan.n_rows
-    rows = scatter[valid]
+    if rows is None:
+        rows = scatter[valid]
     if scatter_override and rows.size:
         # The row side is range-checked by ExecutionPlan.__post_init__ and
         # the valid mask; an overridden scatter side (transpose: columns)
@@ -580,7 +588,7 @@ def _compute_cost_inputs(
             workload.scope_key(("unique_cols",)),
             lambda: unique_column_count(gather_arr),
         )
-        start_pairs = None
+        start_pairs = rows_valid = None
         if plan.cost_key is not None:
             rows_valid = analysis.cached_array(
                 workload.scope_key(("rows_valid",)),
@@ -604,7 +612,7 @@ def _compute_cost_inputs(
     else:
         valid = plan.out_rows >= 0
         unique_cols = unique_column_count(gather_arr)
-        start_pairs = None
+        start_pairs = rows_valid = None
     stored = plan.stored_elements
     warp = plan.warp_size
     if analysis is not None and plan.cost_key is not None:
@@ -647,23 +655,39 @@ def _compute_cost_inputs(
         operand_bytes=operand_bytes,
     ) * (plan.value_bytes / VALUE_BYTES) * workload.k
 
-    stats = _flow_partials(
-        plan,
-        valid=valid,
-        start_pairs=start_pairs,
-        # None on the row side: the plan invariant already range-checks
-        # it, so only a transpose (column) scatter needs the walk's
-        # override + validation path.
-        scatter=scatter_arr if workload.transpose else None,
-        n_out=n_out if workload.transpose else None,
-    )
-    final_rows = stats.final_rows
-    if final_rows is not None and final_rows.size:
-        max_atomics = int(
-            np.bincount(final_rows, minlength=n_out).max(initial=0)
-        ) if stats.atomic_ops else 0
+    def walk() -> Tuple[_PipelineStats, int]:
+        stats = _flow_partials(
+            plan,
+            valid=valid,
+            start_pairs=start_pairs,
+            # None on the row side: the plan invariant already range-checks
+            # it, so only a transpose (column) scatter needs the walk's
+            # override + validation path.
+            scatter=scatter_arr if workload.transpose else None,
+            n_out=n_out if workload.transpose else None,
+            rows=rows_valid,
+        )
+        final_rows = stats.final_rows
+        if final_rows is not None and final_rows.size and stats.atomic_ops:
+            max_atomics = int(
+                np.bincount(final_rows, minlength=n_out).max(initial=0)
+            )
+        else:
+            max_atomics = 0
+        stats.final_rows = None  # counts only: this is what gets cached
+        return stats, max_atomics
+
+    if analysis is not None and plan.cost_key is not None:
+        # The walk reads the block size only at a block-level step, so a
+        # chain without one is walked once per thread assignment.
+        walk_key = ("walk", plan.cost_key[0])
+        if any(step.level == "block" for step in plan.reduction_steps):
+            walk_key += (tpb,)
+        stats, max_atomics = analysis.cached_scalar(
+            workload.scope_key(walk_key), walk
+        )
     else:
-        max_atomics = 0
+        stats, max_atomics = walk()
 
     vb = plan.value_bytes
     format_bytes = stored * (vb + INDEX_BYTES) + plan.extra_format_bytes

@@ -259,8 +259,10 @@ class BatchEvaluator:
 
         # Unit-cache keys per candidate per leaf: graft each candidate's
         # runtime parameters onto the (group-private) representative graph
-        # instead of copying the whole graph per candidate.
+        # instead of copying the whole graph per candidate.  The first
+        # candidate reaching a key supplies the runtime leaf it assembles.
         unit_keys: List[List[Tuple]] = []
+        runtimes: List[Dict[Tuple, object]] = [{} for _ in leaves]
         for assignment in assignments:
             merged = dict(locks)
             merged.update(assignment)
@@ -270,22 +272,22 @@ class BatchEvaluator:
                     if idx == i:
                         params[name] = value
                 rep_walk[i].params = params
-            unit_keys.append(
-                [self.builder.runtime_unit_key(nodes) for nodes in leaf_nodes]
+            keys = []
+            for leaf, nodes, memo in zip(leaves, leaf_nodes, runtimes):
+                key, runtime = self.builder.runtime_unit_key(leaf, nodes)
+                memo.setdefault(key, runtime)
+                keys.append(key)
+            unit_keys.append(keys)
+
+        unit_entries: List[List[Tuple]] = [
+            la.unit_batch(
+                [keys[li] for keys in unit_keys],
+                lambda key, la=la, memo=memo: self.builder.compute_unit_entry(
+                    memo[key], la
+                ),
             )
-
-        unit_entries: List[List[Tuple]] = []
-        for leaf, nodes, la in zip(leaves, leaf_nodes, leaf_las):
-
-            def compute(key, leaf=leaf, nodes=nodes, la=la):
-                # The key *is* the runtime parameterisation — restore it on
-                # the branch-path nodes before assembling.
-                for node, (_op, items) in zip(nodes, key):
-                    node.params = dict(items)
-                return self.builder.compute_unit_entry(leaf, nodes, la)
-
-            keys = [unit_keys[c][len(unit_entries)] for c in range(n)]
-            unit_entries.append(la.unit_batch(keys, compute))
+            for li, (la, memo) in enumerate(zip(leaf_las, runtimes))
+        ]
 
         group.kernels = [None] * n
         for c in range(n):

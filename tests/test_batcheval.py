@@ -21,6 +21,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mapping_paths import MAPPING_PATHS, fine_grid
 from repro import SearchEngine, named_matrix
 from repro.bench import CorpusRunner
 from repro.core.designer import DesignError
@@ -28,7 +29,7 @@ from repro.core.graph import GraphValidationError, OperatorGraph
 from repro.core.kernel.builder import BuildError, KernelBuilder
 from repro.core.optimizer import ModelDrivenCompressor
 from repro.gpu import A100
-from repro.gpu.executor import PlanValidationError
+from repro.gpu.executor import PlanValidationError, plan_cost_inputs
 from repro.search import SearchBudget
 from repro.search.engine import _SearchState
 from repro.search.evaluation import matrix_token
@@ -178,6 +179,55 @@ def small_matrices(draw, max_dim=20, max_nnz=48):
 @settings(max_examples=15, deadline=None)
 def test_property_batched_equals_per_candidate(matrix, seed):
     _assert_scores_replay(matrix, evals=16, seed=seed)
+
+
+def _assert_costs_match_reference(engine, matrix, proposal, assignments, group):
+    """Every assembled candidate's per-kernel cost entry equals the plain
+    reference build's ``plan_cost_inputs`` (or its exact validation error)."""
+    workload = engine.workload
+    builder = KernelBuilder(compressor=ModelDrivenCompressor(), workload=workload)
+    for assignment, kernels, costs in zip(assignments, group.kernels, group.costs):
+        if kernels is None:
+            continue
+        graph = graph_with_params(proposal.graph, assignment, proposal.locks)
+        reference = builder.build(matrix, graph)
+        for unit, entry in zip(reference.kernels, costs):
+            try:
+                want = ("ok", plan_cost_inputs(unit.plan, A100, workload))
+            except PlanValidationError as exc:
+                want = ("error", str(exc))
+            assert entry[:2] == want, assignment
+
+
+@given(small_matrices(), st.sampled_from(["spmv", "spmvt"]))
+@settings(max_examples=8, deadline=None)
+def test_property_runtime_grid_replays_reference(matrix, workload):
+    """Every mapping path's design over the full SET_RESOURCES fine grid,
+    as one group: candidates that share a thread assignment or a kernel
+    unit still score, fail and cost exactly what their own reference build
+    does — under SpMV and under transpose SpMV, whose reduction walk reads
+    the column side's scope-keyed ``rows_valid``."""
+    engine = SearchEngine(A100, workload=workload)
+    x = engine.workload.make_operand(matrix)
+    for ops in MAPPING_PATHS.values():
+        state = _SearchState(
+            start=0.0, budget=engine.budget,
+            x=x, reference=engine.workload.reference(matrix, x),
+            verify_key="verify",
+        )
+        proposal = SampledStructure(
+            graph=OperatorGraph.from_names(ops), locks={}
+        )
+        assignments = fine_grid(proposal.graph)
+        group = engine.batch.assemble(matrix, proposal, assignments, state)
+        outs = engine.batch.finish(group, range(len(assignments)), state)
+        _assert_matches_reference(
+            engine, matrix,
+            [(proposal, a, out) for a, out in zip(assignments, outs)],
+        )
+        _assert_costs_match_reference(
+            engine, matrix, proposal, assignments, group
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,11 @@ class TestSearch:
         ])
         assert code == 0
 
-    def test_unknown_gpu_fails(self, mtx_file):
-        with pytest.raises(KeyError):
+    def test_unknown_gpu_fails(self, mtx_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["search", mtx_file, "--gpu", "H100", "--evals", "4"])
+        assert excinfo.value.code == 2
+        assert "unknown GPU 'H100'" in capsys.readouterr().err
 
     def test_multi_matrix_summary(self, mtx_file, capsys):
         code = main([
@@ -279,6 +281,33 @@ class TestCodedErrors:
         assert proc.stderr.strip() == (
             "MM-SIZE-LINE: line 2: malformed size line '3 3 x'"
         )
+
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            (["/no/such.mtx"],
+             "MATRIX-OPEN: /no/such.mtx: No such file or directory"),
+            (["@nosuch"], "MATRIX-UNKNOWN: unknown matrix 'nosuch'; available: "),
+            (["@scfxm1-2r", "--gpu", "H999"],
+             "argument --gpu: unknown GPU 'H999'; presets: A100, RTX2080"),
+        ],
+        ids=["missing-file", "unknown-name", "unknown-gpu"],
+    )
+    def test_bad_input_exits_2_without_traceback(self, argv, stderr):
+        """A missing file, an unknown ``@name`` or an unknown GPU ends the
+        command with exit status 2 and a one-line reason, never a
+        traceback; the two matrix cases print ``CODE: message``."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "search", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert stderr in proc.stderr
+        if stderr.startswith("MATRIX-"):
+            assert proc.stderr.startswith(stderr)
+            assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["search", "bench", "serve", "baselines"])
     def test_empty_matrix_refused_with_code(self, tmp_path, capsys, command):

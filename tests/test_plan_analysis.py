@@ -12,17 +12,20 @@ Three acceptance bars:
 """
 
 
+import collections
 import gc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mapping_paths import FINE_TPB, FINE_WPT, MAPPING_PATHS, fine_grid
 from repro.core.designer import Designer, default_invariant_checks
 from repro.core.graph import OperatorGraph
 from repro.core.kernel.builder import KernelBuilder
-from repro.gpu import A100
-from repro.gpu.analysis import LeafAnalysis
+from repro.core.operators import get_operator
+from repro.gpu import A100, executor as executor_mod
+from repro.gpu.analysis import DesignAnalysis, LeafAnalysis
 from repro.gpu.executor import (
     ExecutionPlan,
     PlanValidationError,
@@ -39,6 +42,7 @@ from repro.gpu.memory import unique_column_count
 from repro.search import SearchBudget, SearchEngine
 from repro.search.engine import _SearchState
 from repro.search.evaluation import StagedEvaluator
+from repro.search.space import graph_with_params
 from repro.sparse import SparseMatrix, power_law_matrix
 
 
@@ -542,3 +546,103 @@ class TestLeafAnalysisCache:
             with pytest.raises(DesignError) as staged:
                 evaluator.build(small_regular, graph)
             assert str(staged.value) == str(plain.value)
+
+
+# ---------------------------------------------------------------------------
+# Memo keys: one computation per thread assignment, one unit per value read
+# ---------------------------------------------------------------------------
+
+#: per mapping path: (distinct thread assignments, distinct units) over the
+#: SET_RESOURCES fine grid, as counts of distinct block sizes ("tpb") and
+#: distinct ``grid_threads`` ("grid")
+_GRID_COUNTS = {
+    "bmt": ("1", "tpb"),
+    "bmt+bmw": ("1", "tpb"),
+    "bmw": ("1", "tpb"),
+    "bmw+bmtb": ("1", "1"),
+    "bmt+bmtb": ("1", "1"),
+    "bmt+bmw+bmtb": ("1", "1"),
+    "bmtb": ("tpb", "tpb"),
+    "none": ("grid", "tpb*grid"),
+}
+
+
+def _spy_calls(monkeypatch, counts):
+    """Count the distribution, unit, start-pair and thread-stats
+    computations (cache misses, not lookups)."""
+
+    def counting(tag, real):
+        def spy(*args, **kwargs):
+            counts[tag] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(
+        KernelBuilder, "_distribute",
+        counting("distribute", KernelBuilder._distribute),
+    )
+    monkeypatch.setattr(
+        KernelBuilder, "compute_unit_entry",
+        counting("unit", KernelBuilder.compute_unit_entry),
+    )
+    monkeypatch.setattr(
+        executor_mod, "_thread_stats",
+        counting("thread_stats", executor_mod._thread_stats),
+    )
+    real_pairs = LeafAnalysis.start_pairs
+
+    def start_pairs(self, key, compute):
+        return real_pairs(self, key, counting("start_pairs", compute))
+
+    monkeypatch.setattr(LeafAnalysis, "start_pairs", start_pairs)
+
+
+class TestRuntimeGridMemoKeys:
+    """Over the full SET_RESOURCES fine grid, a leaf builds each thread
+    assignment once and each kernel unit once per runtime value it reads:
+    BMT / BMW assignments never read ``threads_per_block``, a BMTB level
+    over a finer level fixes the launch itself, and only an unmapped leaf
+    reads ``work_per_thread`` (through ``grid_threads``)."""
+
+    @pytest.mark.parametrize("path", list(MAPPING_PATHS))
+    def test_one_computation_per_thread_assignment(
+        self, path, small_irregular, monkeypatch
+    ):
+        graph = OperatorGraph.from_names(MAPPING_PATHS[path])
+        builder = KernelBuilder()
+        (leaf,) = builder.design_phase(small_irregular, graph)
+        counts = collections.Counter()
+        _spy_calls(monkeypatch, counts)
+
+        design = DesignAnalysis()
+        launches = set()
+        for assignment in fine_grid(graph):
+            program = builder.assembly_phase(
+                small_irregular,
+                graph_with_params(graph, assignment, {}),
+                [leaf],
+                analysis=design,
+            )
+            (unit,) = program.kernels
+            plan_cost_inputs(unit.plan, A100)
+            launches.add(unit.plan.threads_per_block)
+
+        set_resources = get_operator("SET_RESOURCES")
+
+        def grid_threads(wpt):
+            meta = leaf.meta.runtime_copy()
+            set_resources.apply(
+                meta, {"threads_per_block": 128, "work_per_thread": wpt}
+            )
+            return meta.grid_threads
+
+        n_tpb = len(FINE_TPB)
+        n_grid = len({grid_threads(wpt) for wpt in FINE_WPT})
+        n = {"1": 1, "tpb": n_tpb, "grid": n_grid, "tpb*grid": n_tpb * n_grid}
+        assignments, units = _GRID_COUNTS[path]
+        for tag in ("distribute", "start_pairs", "thread_stats"):
+            assert counts[tag] == n[assignments], (tag, dict(counts))
+        assert counts["unit"] == n[units], dict(counts)
+        # A fixed launch ignores the configured block size; every other
+        # plan launches with it.
+        assert len(launches) == (1 if units == "1" else n_tpb)
